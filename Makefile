@@ -1,7 +1,7 @@
 # Convenience targets; scripts/ci.sh is the canonical gate.
 
 .PHONY: ci test bench bench-parallel bench-memo bench-backend \
-	explore bench-explore serve-smoke bench-service
+	explore bench-explore
 
 ci:
 	scripts/ci.sh
@@ -42,25 +42,6 @@ explore:
 bench-explore:
 	PYTHONPATH=src python -m repro bench --explore --scale smoke \
 		--out $$(mktemp -d)
-
-# Service-mode smoke: a 2-shard local service runs a submitted grid
-# while one shard is killed mid-flight; the job must finish zero-loss,
-# byte-identical to a single-pool run, resume from the durable
-# manifest, and the service root must audit clean.  Same leg
-# scripts/ci.sh runs.
-serve-smoke:
-	scripts/ci.sh --skip-tests --skip-bench --skip-memo --skip-schema \
-		--skip-durability --skip-backend --skip-analytical
-
-# Sharded-dispatch scaling bench: single-pool reference vs 1- and
-# 2-shard local fleets, byte-identity asserted per fleet size, gated
-# against the committed BENCH_service.json (the >= 1.8x floor at two
-# shards is enforced only on multi-core hosts; single-core runs are
-# stamped degenerate and gate on byte-identity alone).
-bench-service:
-	PYTHONPATH=src python -m repro bench --service --scale smoke \
-		--out $$(mktemp -d) \
-		--baseline benchmarks/results/BENCH_service.json
 
 # Memoization bench: cold vs cache-served campaign (verified
 # byte-identical) + snapshot warm-start, gated against the committed

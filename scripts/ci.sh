@@ -3,7 +3,7 @@
 #
 # Usage: scripts/ci.sh
 #   [--skip-tests|--skip-bench|--skip-memo|--skip-schema|--skip-durability|
-#    --skip-backend|--skip-analytical|--skip-service|--skip-workloads]
+#    --skip-backend|--skip-analytical|--skip-workloads]
 #
 # The bench leg runs a *reduced* matrix (3 policies x 1 mix, smoke
 # scale, best-of-3) against the committed full-matrix baseline —
@@ -22,7 +22,6 @@ RUN_SCHEMA=1
 RUN_DURABILITY=1
 RUN_BACKEND=1
 RUN_ANALYTICAL=1
-RUN_SERVICE=1
 RUN_WORKLOADS=1
 for arg in "$@"; do
   case "$arg" in
@@ -33,13 +32,16 @@ for arg in "$@"; do
     --skip-durability) RUN_DURABILITY=0 ;;
     --skip-backend) RUN_BACKEND=0 ;;
     --skip-analytical) RUN_ANALYTICAL=0 ;;
-    --skip-service) RUN_SERVICE=0 ;;
     --skip-workloads) RUN_WORKLOADS=0 ;;
     *) echo "ci.sh: unknown argument '$arg'" >&2; exit 2 ;;
   esac
 done
 
 export PYTHONPATH="${PYTHONPATH:+$PYTHONPATH:}src"
+
+# One scratch root for every leg's outputs, removed on any exit.
+TMP_ROOT="$(mktemp -d)"
+trap 'rm -rf "$TMP_ROOT"' EXIT
 
 if [[ "$RUN_TESTS" == 1 ]]; then
   echo "== ci: tier-1 test suite =="
@@ -56,15 +58,13 @@ fi
 
 if [[ "$RUN_BENCH" == 1 ]]; then
   echo "== ci: bench regression smoke (reduced matrix) =="
-  BENCH_OUT="$(mktemp -d)"
-  trap 'rm -rf "$BENCH_OUT"' EXIT
   python -m repro bench \
     --scale smoke \
     --label ci_smoke \
     --policies bh,ca_rwr,cp_sd \
     --mixes mix1 \
     --repeats 3 \
-    --out "$BENCH_OUT" \
+    --out "$TMP_ROOT/bench" \
     --baseline benchmarks/results/BENCH_engine.json \
     --threshold 0.25
 fi
@@ -96,8 +96,6 @@ PY
   # The vectorized backend must also hold its speed advantage: a
   # reduced-matrix run diffed against the committed reference-backend
   # artefact (explicitly cross-backend — that ratio IS the speedup).
-  BACKEND_OUT="$(mktemp -d)"
-  trap 'rm -rf "${BENCH_OUT:-}" "$BACKEND_OUT"' EXIT
   python -m repro bench \
     --scale smoke \
     --backend vectorized \
@@ -105,7 +103,7 @@ PY
     --policies bh,ca_rwr,cp_sd \
     --mixes mix1 \
     --repeats 3 \
-    --out "$BACKEND_OUT" \
+    --out "$TMP_ROOT/backend" \
     --baseline benchmarks/results/BENCH_engine.json \
     --cross-backend \
     --threshold 0.25
@@ -118,9 +116,7 @@ if [[ "$RUN_MEMO" == 1 ]]; then
   # cache with byte-identical results (and the snapshot warm-start is
   # digest-identical) — so this leg is a correctness gate, not a
   # timing one; no baseline comparison needed here.
-  MEMO_OUT="$(mktemp -d)"
-  trap 'rm -rf "${BENCH_OUT:-}" "${BACKEND_OUT:-}" "$MEMO_OUT"' EXIT
-  python -m repro bench --memo --scale smoke --out "$MEMO_OUT"
+  python -m repro bench --memo --scale smoke --out "$TMP_ROOT/memo"
 fi
 
 if [[ "$RUN_DURABILITY" == 1 ]]; then
@@ -131,18 +127,16 @@ if [[ "$RUN_DURABILITY" == 1 ]]; then
   # retried — and the surviving artefacts must pass a strict
   # post-mortem audit (corrupt ones sit quarantined with reason
   # records, which the doctor skips by design).
-  DURA_OUT="$(mktemp -d)"
-  trap 'rm -rf "${BENCH_OUT:-}" "${BACKEND_OUT:-}" "${MEMO_OUT:-}" "$DURA_OUT"' EXIT
   python -m repro campaign \
     --scale smoke \
-    --out "$DURA_OUT/campaign" \
+    --out "$TMP_ROOT/durability" \
     --experiments tables \
     --chaos p=0.3,kinds=disk-torn,disk-flip \
     --retries 8 \
     --timeout 120 \
     --backoff 0.05 \
     --jobs 2
-  python -m repro doctor --strict "$DURA_OUT/campaign"
+  python -m repro doctor --strict "$TMP_ROOT/durability"
   # ... and the committed artefacts audit clean too.
   python -m repro doctor --strict
 fi
@@ -160,112 +154,22 @@ if [[ "$RUN_ANALYTICAL" == 1 ]]; then
   # durable write must abort, leave the rung artefact on disk, and
   # complete under --resume without recomputing finished rungs; the
   # resulting directory must pass a strict doctor audit.
-  EXPLORE_OUT="$(mktemp -d)"
-  trap 'rm -rf "${BENCH_OUT:-}" "${BACKEND_OUT:-}" "${MEMO_OUT:-}" "${DURA_OUT:-}" "$EXPLORE_OUT"' EXIT
   if REPRO_EXPLORE_KILL_AFTER="rung:1" python -m repro --scale smoke explore \
-      --out "$EXPLORE_OUT/run" --space tiny --confirm 4 >/dev/null 2>&1; then
+      --out "$TMP_ROOT/explore" --space tiny --confirm 4 >/dev/null 2>&1; then
     echo "FAIL: injected kill after rung 1 did not abort the sweep" >&2
     exit 1
   fi
-  if [[ ! -f "$EXPLORE_OUT/run/rung_1.json" ]]; then
+  if [[ ! -f "$TMP_ROOT/explore/rung_1.json" ]]; then
     echo "FAIL: rung_1.json not durable at the kill point" >&2
     exit 1
   fi
-  python -m repro --scale smoke explore --resume "$EXPLORE_OUT/run" \
+  python -m repro --scale smoke explore --resume "$TMP_ROOT/explore" \
     --space tiny --confirm 4
-  if [[ ! -f "$EXPLORE_OUT/run/frontier.json" ]]; then
+  if [[ ! -f "$TMP_ROOT/explore/frontier.json" ]]; then
     echo "FAIL: resume did not produce frontier.json" >&2
     exit 1
   fi
-  python -m repro doctor --strict "$EXPLORE_OUT/run"
-fi
-
-if [[ "$RUN_SERVICE" == 1 ]]; then
-  echo "== ci: service mode (2 shards, mid-flight shard kill) =="
-  # A two-subprocess-shard service executes a tiny submitted grid while
-  # one shard is rigged to die mid-task.  The job must finish with zero
-  # unit loss (the dead shard's work requeues to the survivor), the
-  # merged results must be byte-identical to an unsharded reference
-  # run, a post-restart resume must serve every unit from the durable
-  # manifest, and the whole service root must pass a strict audit.
-  SERVICE_OUT="$(mktemp -d)"
-  trap 'rm -rf "${BENCH_OUT:-}" "${BACKEND_OUT:-}" "${MEMO_OUT:-}" "${DURA_OUT:-}" "${EXPLORE_OUT:-}" "$SERVICE_OUT"' EXIT
-  python - "$SERVICE_OUT" <<'PY'
-import hashlib
-import sys
-from pathlib import Path
-
-from repro.harness import CampaignSettings, run_campaign
-from repro.service.client import ServiceClient
-from repro.service.server import DONE, ServiceServer
-from repro.service.shard import KILL_AT_ENV, LocalShardSet
-
-root = Path(sys.argv[1])
-
-
-def digest(directory):
-    h = hashlib.sha256()
-    results = sorted((directory / "results").glob("*.json"))
-    for path in results:
-        h.update(path.name.encode())
-        h.update(b"\x00")
-        h.update(path.read_bytes())
-        h.update(b"\x00")
-    return h.hexdigest(), len(results)
-
-
-# Unsharded reference run of the same grid.
-report = run_campaign(
-    root / "reference",
-    scale="smoke",
-    experiments=("tables",),
-    settings=CampaignSettings(jobs=1, retries=0),
-)
-assert report.ok, "reference run failed"
-ref_digest, ref_count = digest(root / "reference")
-
-# Shard 1 exits mid-flight: right after announcing its second unit.
-with LocalShardSet(
-    2, root / "fleet", extra_env=[None, {KILL_AT_ENV: "start:2"}]
-) as fleet:
-    server = ServiceServer(root / "service", shards=fleet.endpoints)
-    server.start()
-    try:
-        client = ServiceClient(server.endpoint)
-        job_id = client.submit(experiments=["tables"], scale="smoke")
-        record = client.watch(job_id, timeout=600.0)
-    finally:
-        server.stop()
-assert record["status"] == DONE, record
-job_report = record["report"]
-assert job_report["failed"] == 0, job_report
-assert job_report["shard_deaths"] == 1, job_report
-job_dir = root / "service" / "jobs" / job_id / "campaign"
-job_digest, job_count = digest(job_dir)
-assert (job_count, job_digest) == (ref_count, ref_digest), (
-    "sharded results diverged from the single-pool reference"
-)
-
-# A fresh server over the same root resumes the job: every unit is
-# served from the durable campaign manifest, nothing recomputes.
-server = ServiceServer(root / "service")
-server.start()
-try:
-    client = ServiceClient(server.endpoint)
-    client.resume(job_id)
-    record = client.watch(job_id, timeout=600.0)
-finally:
-    server.stop()
-assert record["status"] == DONE, record
-assert record["report"]["skipped"] == job_report["total"], record["report"]
-assert record["report"]["completed"] == 0, record["report"]
-print(
-    f"service job {job_id}: {job_report['completed']} units, "
-    f"{job_report['shard_deaths']} shard death, byte-identical to "
-    "reference, resume served all units from the manifest"
-)
-PY
-  python -m repro doctor --strict "$SERVICE_OUT/service"
+  python -m repro doctor --strict "$TMP_ROOT/explore"
 fi
 
 if [[ "$RUN_WORKLOADS" == 1 ]]; then
@@ -298,9 +202,7 @@ if failures:
               file=sys.stderr)
     sys.exit(1)
 PY
-  WORKLOADS_OUT="$(mktemp -d)"
-  trap 'rm -rf "${BENCH_OUT:-}" "${BACKEND_OUT:-}" "${MEMO_OUT:-}" "${DURA_OUT:-}" "${EXPLORE_OUT:-}" "${SERVICE_OUT:-}" "$WORKLOADS_OUT"' EXIT
-  REPRO_EXTERNAL_WORKLOADS="$WORKLOADS_OUT/external" python - <<'PY'
+  REPRO_EXTERNAL_WORKLOADS="$TMP_ROOT/external" python - <<'PY'
 from dataclasses import replace
 
 from repro.core import make_policy
@@ -341,17 +243,17 @@ for name in family_names():
 PY
   # ... and the CLI surface end to end: import -> list -> simulate ->
   # campaign (one unit) -> export, all over the committed fixture.
-  export REPRO_EXTERNAL_WORKLOADS="$WORKLOADS_OUT/external"
+  export REPRO_EXTERNAL_WORKLOADS="$TMP_ROOT/external"
   python -m repro workloads --family external | grep -q "external:ci_fixture"
   python -m repro --scale smoke simulate \
     --mix external:ci_fixture --policy bh --epochs 1 --warmup-epochs 0.5
   python -m repro --scale smoke campaign \
-    --out "$WORKLOADS_OUT/campaign" \
+    --out "$TMP_ROOT/workloads_campaign" \
     --experiments fig6 \
     --workloads external:ci_fixture,datacenter:kv_read \
     --jobs 2 \
     --timeout 300
-  python -m repro export --format jsonl "$WORKLOADS_OUT/campaign" \
+  python -m repro export --format jsonl "$TMP_ROOT/workloads_campaign" \
     | grep -Eq '"workload_family": ?"external"'
   unset REPRO_EXTERNAL_WORKLOADS
 fi

@@ -29,12 +29,6 @@ from .explore import MIN_INSTRUCTION_SPEEDUP, ExploreBenchError, run_explore_ben
 from .golden import GOLDEN_MIX, GOLDEN_POLICIES, compute_golden_digests, simulation_digest
 from .memo import MemoBenchError, run_memo_bench
 from .parallel import run_parallel_bench
-from .service import (
-    SERVICE_SPEEDUP_FLOOR,
-    ServiceBenchError,
-    run_service_bench,
-    service_floor_errors,
-)
 from .runner import BENCH_SCHEMA, BenchMatrix, phase_breakdown, run_bench, write_bench
 
 __all__ = [
@@ -54,8 +48,6 @@ __all__ = [
     "STATUS_MISSING_BASELINE",
     "STATUS_OK",
     "STATUS_REGRESSION",
-    "SERVICE_SPEEDUP_FLOOR",
-    "ServiceBenchError",
     "compare_benches",
     "compute_golden_digests",
     "phase_breakdown",
@@ -64,8 +56,6 @@ __all__ = [
     "run_explore_bench",
     "run_memo_bench",
     "run_parallel_bench",
-    "run_service_bench",
-    "service_floor_errors",
     "simulation_digest",
     "write_bench",
 ]

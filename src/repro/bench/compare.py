@@ -132,8 +132,8 @@ def load_bench(path: PathLike) -> Optional[dict]:
 
     Artefacts are checksummed ``repro-blob/1`` envelopes around a
     RunRecord (``values["document"]`` holds the timing document); bare
-    RunRecord envelopes and raw pre-envelope documents are still
-    accepted so old baselines keep comparing.
+    RunRecord envelopes are accepted too.  Anything else raises
+    :class:`ValueError` naming the file.
     """
     path = Path(path)
     if not path.exists():
@@ -142,9 +142,9 @@ def load_bench(path: PathLike) -> Optional[dict]:
     from ..metrics import RunRecord, is_run_record_payload
 
     data = unwrap_json(json.loads(path.read_text()), path=path)
-    if is_run_record_payload(data):
-        return RunRecord.from_json(data).values.get("document", {})
-    return data
+    if not is_run_record_payload(data):
+        raise ValueError(f"{path}: not a bench artefact (no RunRecord)")
+    return RunRecord.from_json(data).values.get("document", {})
 
 
 def compare_benches(

@@ -95,31 +95,23 @@ def _time_workload_build(scale: ExperimentScale, mix: str, seed: int) -> Tuple[W
 def _time_raw_replay(workload: Workload, n_records: int) -> dict:
     """Drain ``n_records`` records per core with no hierarchy attached.
 
-    Uses the engine's actual delivery protocol — flat column arrays
-    when the trace provides them, the legacy ``player()`` generator
-    otherwise — so the number reflects what ``Simulation.run`` really
-    pays per record before any cache modelling starts.
+    Uses the engine's actual delivery protocol — indexed reads from the
+    flat replay columns with a wrapping cursor — so the number reflects
+    what ``Simulation.run`` really pays per record before any cache
+    modelling starts.
     """
     total = 0
     start = time.perf_counter()
     for trace in workload.traces:
-        columns = getattr(trace, "replay_columns", None)
-        if columns is not None:
-            gaps, addrs, writes = columns()
-            n = len(addrs)
-            cursor = 0
-            sink = 0
-            for _ in range(n_records):
-                sink += gaps[cursor] + addrs[cursor] + writes[cursor]
-                cursor += 1
-                if cursor == n:
-                    cursor = 0
-        else:  # pre-columns engines: per-record generator protocol
-            player = trace.player()
-            sink = 0
-            for _ in range(n_records):
-                gap, addr, is_write = next(player)
-                sink += gap + addr + is_write
+        gaps, addrs, writes = trace.replay_columns()
+        n = len(addrs)
+        cursor = 0
+        sink = 0
+        for _ in range(n_records):
+            sink += gaps[cursor] + addrs[cursor] + writes[cursor]
+            cursor += 1
+            if cursor == n:
+                cursor = 0
         total += n_records
     seconds = time.perf_counter() - start
     return {
@@ -302,8 +294,7 @@ def write_bench(document: dict, out_dir: PathLike) -> Path:
     wrapped in the checksummed ``repro-blob/1`` envelope and committed
     through the crash-consistent fsio path — one format shared with
     campaign results and the memo cache, auditable by ``repro
-    doctor``.  Pre-envelope artefacts stay loadable via
-    :func:`repro.bench.compare.load_bench`'s legacy passthrough.
+    doctor``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -21,15 +21,8 @@ Commands
 ``explore``   — successive-halving design-space sweep: analytical
                 screening rungs, simulated confirmation, Pareto
                 frontier; crash-consistent artefacts with ``--resume``
-``serve``     — run the campaign service: accepts submitted sweeps,
-                executes them (locally or across shards), streams
-                telemetry, serves Prometheus ``/metrics``
-``serve-worker`` — run one shard: executes campaign task payloads for
-                a controller over a socket
-``submit``    — enqueue a sweep on a running service (async)
-``status``    — job ledger of a service, or the shard/task summary of
-                a campaign directory
-``watch``     — stream a job's per-unit progress events live
+``status``    — task summary and last-run counters of a campaign
+                directory
 
 Unknown mix/policy/scale/experiment names exit with code 2 and a
 one-line "did you mean" suggestion instead of a traceback.
@@ -67,7 +60,8 @@ from .experiments import (
     table5_rows,
 )
 from .forecast import SECONDS_PER_MONTH, Forecaster
-from .workloads import APP_NAMES, MIX_NAMES
+from .workloads.mixes import MIX_NAMES
+from .workloads.profiles import APP_NAMES
 
 
 class UsageError(Exception):
@@ -396,19 +390,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         except ChaosSpecError as exc:
             raise UsageError(str(exc)) from None
 
-    shards = None
-    if args.shards:
-        from .service import parse_endpoint
-
-        shards = [s.strip() for s in args.shards.split(",") if s.strip()]
-        for spec in shards:
-            try:
-                parse_endpoint(spec)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-        if args.isolate_tasks:
-            raise UsageError("--shards and --isolate-tasks are exclusive")
-
     settings = CampaignSettings(
         jobs=args.jobs,
         task_timeout=args.timeout,
@@ -419,7 +400,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         isolate_tasks=args.isolate_tasks,
         use_result_cache=not args.no_result_cache,
         result_cache_dir=args.result_cache,
-        shards=shards,
     )
 
     if args.resume:
@@ -456,9 +436,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     from .workloads.cache import TRACE_CACHE_ENV
 
     # The overrides live only for this campaign: embedding processes
-    # (the service server, the test suite) call main() repeatedly, and
-    # a leaked REPRO_RESULT_CACHE pointing at a dead directory would
-    # silently redirect every later campaign's cache.
+    # (the test suite, scripts) call main() repeatedly, and a leaked
+    # REPRO_RESULT_CACHE pointing at a dead directory would silently
+    # redirect every later campaign's cache.
     saved_env = {
         key: os.environ.get(key)
         for key in (REPRO_BACKEND_ENV, TRACE_CACHE_ENV, RESULT_CACHE_ENV)
@@ -490,14 +470,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             )
         except CampaignConfigError as exc:
             raise UsageError(str(exc)) from None
-        from .service import ShardError
-
-        try:
-            report = runner.run()
-        except ShardError as exc:
-            print(f"campaign ABORTED: {exc}", file=sys.stderr)
-            print(f"resume with: repro campaign --resume {directory}")
-            return 1
+        report = runner.run()
     finally:
         for key, value in saved_env.items():
             if value is None:
@@ -568,49 +541,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"{info['n_points']} points in {info['total_seconds']:.1f}s"
         )
         return 0
-
-    if args.service:
-        from .bench.service import (
-            ServiceBenchError,
-            run_service_bench,
-            service_floor_errors,
-        )
-
-        label = args.label if args.label != "engine" else "service"
-        try:
-            document = run_service_bench(
-                scale,
-                label=label,
-                max_shards=args.max_shards,
-                progress=print,
-            )
-        except ServiceBenchError as exc:
-            print(f"service bench FAILED: {exc}", file=sys.stderr)
-            return 1
-        path = write_bench(document, args.out)
-        print(f"wrote {path}")
-        floor = document["service"]["floor"]
-        top = document["service"]["scaling"][-1]
-        print(
-            f"service scaling: {top['speedup']:.2f}x at "
-            f"{top['shards']} shards (byte-identical to single pool); "
-            f"floor {floor['min_speedup']:.1f}x at {floor['at_shards']} "
-            + ("enforced" if floor["enforced"]
-               else "unenforced (degenerate_single_core)")
-        )
-        if args.baseline is None:
-            return 0
-        floor_errors = service_floor_errors(document)
-        for error in floor_errors:
-            print(f"service gate: {error}", file=sys.stderr)
-        comparison = compare_benches(
-            document, load_bench(args.baseline), threshold=args.threshold
-        )
-        for case in comparison.cases:
-            print(f"  {case.policy:14s} {case.mix:12s} {case.ratio:5.2f}x")
-        _print_comparison_detail(comparison)
-        print(comparison.summary())
-        return 0 if comparison.ok and not floor_errors else 1
 
     if args.memo:
         from .bench.memo import MemoBenchError, run_memo_bench
@@ -857,141 +787,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve_worker(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .service import serve_worker
-
-    serve_worker(
-        host=args.host,
-        port=args.port,
-        announce_path=Path(args.announce) if args.announce else None,
-        shard_id=args.shard_id,
-        progress=print,
-    )
-    return 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    from .service import LocalShardSet, ServiceServer
-
-    shards = None
-    if args.shards:
-        shards = [s.strip() for s in args.shards.split(",") if s.strip()]
-    fleet = None
-    try:
-        if args.local_shards:
-            if shards:
-                raise UsageError("--shards and --local-shards are exclusive")
-            from pathlib import Path
-
-            fleet = LocalShardSet(
-                args.local_shards, Path(args.root) / "shards"
-            )
-            shards = fleet.start()
-            print(f"spawned {len(shards)} local shards: {', '.join(shards)}")
-        server = ServiceServer(
-            args.root,
-            host=args.host,
-            port=args.port,
-            shards=shards,
-            jobs=args.jobs,
-            progress=print,
-        )
-        server.serve_forever()
-    finally:
-        if fleet is not None:
-            fleet.stop()
-    return 0
-
-
-def _service_client(args: argparse.Namespace):
-    from .service import ServiceClient
-    from .service.client import ServiceError
-
-    try:
-        return ServiceClient(args.endpoint), ServiceError
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    from .experiments import ALL_EXPERIMENT_NAMES
-
-    experiments = [e.strip() for e in args.experiments.split(",") if e.strip()]
-    for name in experiments:
-        _check_choice("experiment", name, ALL_EXPERIMENT_NAMES)
-    scale_name = _resolve_scale(args.scale).name
-    client, ServiceError = _service_client(args)
-    try:
-        if args.resume:
-            job_id = client.resume(args.resume)
-        else:
-            job_id = client.submit(
-                experiments=experiments, scale=scale_name, chaos=args.chaos
-            )
-    except ServiceError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return 1
-    print(job_id)
-    if args.watch:
-        return _watch_job(client, ServiceError, job_id)
-    return 0
-
-
-def _format_shard_table(shards: dict) -> List[str]:
-    lines = [
-        "  shard       tasks  busy_s   wall_s  status",
-    ]
-    for record in shards.get("shards", ()):
-        status = f"DIED ({record['died']})" if record.get("died") else "ok"
-        lines.append(
-            f"  {record['shard_id']:<10s} {record['tasks_done']:>5d} "
-            f"{record['busy_seconds']:>7.2f} {record['wall_seconds']:>8.2f}  "
-            f"{status}"
-        )
-    return lines
-
-
-def _print_job(job: dict) -> None:
-    report = job.get("report") or {}
-    print(
-        f"{job['job_id']}: {job['status']}  "
-        f"[{','.join(job.get('experiments', ()))} @ {job.get('scale')}]"
-        + (
-            f"  {report.get('completed', 0)}/{report.get('total', 0)} done"
-            if report
-            else ""
-        )
-        + (f"  error: {job['error']}" if job.get("error") else "")
-    )
-    walls = (report or {}).get("shard_walls") or {}
-    for shard_id in sorted(walls):
-        print(f"  {shard_id}: {walls[shard_id]:.2f}s wall")
-
-
 def cmd_status(args: argparse.Namespace) -> int:
-    if args.path:
-        return _campaign_status(args.path)
-    if not args.endpoint:
-        raise UsageError("status needs --endpoint HOST:PORT or a campaign DIR")
-    client, ServiceError = _service_client(args)
-    try:
-        if args.job:
-            _print_job(client.status(args.job))
-        else:
-            jobs = client.status()
-            if not jobs:
-                print("no jobs submitted yet")
-            for job in jobs:
-                _print_job(job)
-    except ServiceError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _campaign_status(path: str) -> int:
     import json as _json
     from pathlib import Path
 
@@ -1000,6 +796,7 @@ def _campaign_status(path: str) -> int:
     from .harness.manifest import CampaignManifest
     from .harness.scheduler import HEALTH_RECORD_NAME
 
+    path = args.path
     try:
         manifest = CampaignManifest.load(Path(path))
     except CampaignConfigError as exc:
@@ -1016,10 +813,6 @@ def _campaign_status(path: str) -> int:
         f"experiments={','.join(manifest.experiments)}"
     )
     print(f"  tasks: {counts or 'none enumerated yet'}")
-    if manifest.shards:
-        print(f"  last sharded run ({manifest.shards.get('deaths', 0)} deaths):")
-        for line in _format_shard_table(manifest.shards):
-            print(line)
     health_path = Path(path) / HEALTH_RECORD_NAME
     if health_path.exists():
         record = unwrap_json(
@@ -1037,37 +830,6 @@ def _campaign_status(path: str) -> int:
             + ", ".join(f"{key}={value}" for key, value in scheduler.items())
         )
     return 0
-
-
-def _watch_job(client, ServiceError, job_id: str) -> int:
-    def on_event(event: dict) -> None:
-        kind = event.get("event", "?")
-        task = event.get("task_id")
-        detail = f" {task}" if task else ""
-        extras = {
-            key: event[key]
-            for key in ("shard", "completed", "total", "kind", "reason", "ok")
-            if key in event
-        }
-        suffix = (
-            " [" + ", ".join(f"{k}={v}" for k, v in extras.items()) + "]"
-            if extras
-            else ""
-        )
-        print(f"  {kind}{detail}{suffix}")
-
-    try:
-        job = client.watch(job_id, on_event=on_event, timeout=3600.0)
-    except ServiceError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return 1
-    _print_job(job)
-    return 0 if job.get("status") == "done" else 1
-
-
-def cmd_watch(args: argparse.Namespace) -> int:
-    client, ServiceError = _service_client(args)
-    return _watch_job(client, ServiceError, args.job_id)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1188,10 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "REPRO_RESULT_CACHE)")
     p.add_argument("--no-result-cache", action="store_true",
                    help="always recompute units, never serve cached results")
-    p.add_argument("--shards", default=None, metavar="ENDPOINTS",
-                   help="comma-separated host:port of running serve-worker "
-                        "shards; dispatches the task graph across them "
-                        "instead of a local pool")
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser(
@@ -1224,13 +982,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "through the analytical screening tier, measure "
                         "the simulated-instruction speedup vs exhaustive "
                         "(gated at 50x); writes BENCH_explore.json")
-    p.add_argument("--service", action="store_true",
-                   help="service mode: run the bench campaign on 1..N "
-                        "local shard processes, gate byte-identity vs the "
-                        "single-pool run and the 2-shard throughput floor; "
-                        "writes BENCH_service.json")
-    p.add_argument("--max-shards", type=int, default=2,
-                   help="largest shard count the --service bench sweeps")
     p.add_argument("--out", default="benchmarks/results", metavar="DIR",
                    help="directory for BENCH_<label>.json")
     p.add_argument("--baseline", default=None, metavar="FILE",
@@ -1334,79 +1085,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser(
-        "serve",
-        help="run the campaign service: job queue, sharded or local "
-             "execution, streaming telemetry, Prometheus /metrics",
-    )
-    p.add_argument("--root", required=True, metavar="DIR",
-                   help="service root (ledger, jobs, shared result cache)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0,
-                   help="TCP port (0 = kernel-assigned; see the announce "
-                        "file <root>/service.announce.json)")
-    p.add_argument("--shards", default=None, metavar="ENDPOINTS",
-                   help="comma-separated host:port of running serve-worker "
-                        "shards jobs execute on")
-    p.add_argument("--local-shards", type=int, default=0, metavar="N",
-                   help="spawn N serve-worker subprocesses under "
-                        "<root>/shards and execute jobs on them")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="local-pool workers per job when not sharded")
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "serve-worker",
-        help="run one shard: executes campaign task payloads for a "
-             "controller over a socket; outlives controller sessions",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0,
-                   help="TCP port (0 = kernel-assigned)")
-    p.add_argument("--announce", default=None, metavar="FILE",
-                   help="write a checksummed announce file with the bound "
-                        "endpoint (how controllers find a port-0 shard)")
-    p.add_argument("--shard-id", default=None,
-                   help="identity reported to controllers (default: pid)")
-    p.set_defaults(func=cmd_serve_worker)
-
-    p = sub.add_parser(
-        "submit", help="enqueue a sweep on a running service (async)"
-    )
-    p.add_argument("--scale", default=argparse.SUPPRESS,
-                   help="smoke | default | full | paper (default: env)")
-    p.add_argument("--endpoint", required=True, metavar="HOST:PORT",
-                   help="service endpoint (or path to its announce file)")
-    p.add_argument("--experiments", default=",".join(EXPERIMENT_NAMES),
-                   help=f"comma-separated subset of {EXPERIMENT_NAMES}")
-    p.add_argument("--chaos", default=None, metavar="SPEC",
-                   help="chaos spec forwarded to the job's campaign")
-    p.add_argument("--resume", default=None, metavar="JOB",
-                   help="re-queue this finished/failed job instead of "
-                        "submitting a new one (completed units skipped)")
-    p.add_argument("--watch", action="store_true",
-                   help="stay attached and stream the job's events")
-    p.set_defaults(func=cmd_submit)
-
-    p = sub.add_parser(
         "status",
-        help="job ledger of a service (--endpoint) or shard/task "
-             "summary of a campaign directory (DIR)",
+        help="task summary and last-run counters of a campaign directory",
     )
-    p.add_argument("path", nargs="?", default=None, metavar="DIR",
+    p.add_argument("path", metavar="DIR",
                    help="campaign directory to summarise")
-    p.add_argument("--endpoint", default=None, metavar="HOST:PORT",
-                   help="service endpoint (or path to its announce file)")
-    p.add_argument("--job", default=None, metavar="JOB",
-                   help="show one job instead of the whole ledger")
     p.set_defaults(func=cmd_status)
-
-    p = sub.add_parser(
-        "watch", help="stream a job's per-unit progress events live"
-    )
-    p.add_argument("job_id", metavar="JOB")
-    p.add_argument("--endpoint", required=True, metavar="HOST:PORT",
-                   help="service endpoint (or path to its announce file)")
-    p.set_defaults(func=cmd_watch)
     return parser
 
 

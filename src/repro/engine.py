@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 import logging
 from dataclasses import dataclass, field, fields
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .cache.hierarchy import MemoryHierarchy
 from .cache.stats import HierarchyStats
@@ -36,7 +36,7 @@ from .workloads.cache import (
 from .workloads.data import DataModel
 from .workloads.mixes import mix_profiles
 from .workloads.profiles import AppProfile
-from .workloads.trace import MaterializedTrace, TraceRecord
+from .workloads.trace import MaterializedTrace
 
 register_metric(
     "workload", "sidecar_redraws", "count",
@@ -157,8 +157,6 @@ class Workload:
     def n_cores(self) -> int:
         return len(self.profiles)
 
-    def players(self) -> List[Iterator[TraceRecord]]:
-        return [trace.player() for trace in self.traces]
 
 
 @dataclass

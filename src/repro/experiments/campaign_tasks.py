@@ -153,8 +153,8 @@ def run_campaign_task(experiment: str, unit: Mapping, scale_name: str) -> dict:
         ref = dict(unit).get("mix")
         if isinstance(ref, str):
             # Stamp the producing workload family so `repro export`
-            # and service health records can report it even for units
-            # whose runner predates the registry.
+            # can report it even for units whose runner predates the
+            # registry.
             try:
                 family, target = parse_workload_ref(ref)
             except WorkloadRefError:

@@ -142,11 +142,6 @@ def _category_for_schema(schema: Optional[str]) -> str:
         "repro-explore-confirm/1": "explore-confirm",
         "repro-explore-frontier/1": "explore-frontier",
         "repro-analytical-reference/1": "analytical-reference",
-        "repro-service-event/1": "service-event",
-        "repro-service-job/1": "service-job",
-        "repro-service-ledger/1": "service-ledger",
-        "repro-shard-manifest/1": "shard-manifest",
-        "repro-shard-announce/1": "shard-announce",
     }
     return mapping.get(schema or "", "artefact")
 
@@ -351,80 +346,6 @@ def _audit_explore(directory: Path, report: DoctorReport) -> List[Finding]:
     return findings
 
 
-def _audit_events_log(path: Path, report: DoctorReport) -> List[Finding]:
-    """Audit a service event log (per-line enveloped JSONL).
-
-    A defective *final* line is the survivable debris of a crash
-    mid-append (warning); a defective line anywhere else is corruption.
-    """
-    from ..service.events import EventLogError, scan_events
-
-    report.checked.append(str(path))
-    try:
-        _events, tail_defect = scan_events(path)
-    except EventLogError as exc:
-        return [
-            Finding(str(path), "service-event", "malformed-envelope",
-                    str(exc))
-        ]
-    except OSError as exc:
-        return [Finding(str(path), "service-event", "unreadable", str(exc))]
-    if tail_defect is not None:
-        return [
-            Finding(
-                str(path), "service-event", "truncated",
-                f"{tail_defect} (torn tail: survivable crash debris)",
-                severity=SEVERITY_WARN,
-            )
-        ]
-    return []
-
-
-def _audit_service_job(directory: Path, report: DoctorReport) -> List[Finding]:
-    """Audit one ``jobs/<job-id>/`` directory of a service root."""
-    from ..harness.manifest import MANIFEST_NAME
-    from ..service.events import EVENT_LOG_NAME
-
-    findings: List[Finding] = []
-    job_record = directory / "job.json"
-    if job_record.exists():
-        report.checked.append(str(job_record))
-        findings.extend(_audit_json_file(job_record, "service-job"))
-    events = directory / EVENT_LOG_NAME
-    if events.exists():
-        findings.extend(_audit_events_log(events, report))
-    campaign = directory / "campaign"
-    if (campaign / MANIFEST_NAME).exists():
-        findings.extend(_audit_campaign(campaign, report))
-    return findings
-
-
-def _audit_service_root(directory: Path, report: DoctorReport) -> List[Finding]:
-    """Audit a ``repro serve`` root: ledger, announce, every job."""
-    from ..service.server import ANNOUNCE_NAME, JOBS_DIR, LEDGER_NAME
-
-    findings: List[Finding] = []
-    ledger = directory / LEDGER_NAME
-    if ledger.exists():
-        report.checked.append(str(ledger))
-        findings.extend(_audit_json_file(ledger, "service-ledger"))
-    announce = directory / ANNOUNCE_NAME
-    if announce.exists():
-        report.checked.append(str(announce))
-        findings.extend(_audit_json_file(announce, "shard-announce"))
-    jobs_dir = directory / JOBS_DIR
-    if jobs_dir.is_dir():
-        for job_dir in sorted(p for p in jobs_dir.iterdir() if p.is_dir()):
-            findings.extend(_audit_service_job(job_dir, report))
-    cache = directory / "result_cache"
-    if cache.is_dir():
-        findings.extend(_audit_artefact_dir(cache, report))
-    shards = directory / "shards"
-    if shards.is_dir():
-        findings.extend(_audit_artefact_dir(shards, report))
-    return findings
-
-
 # ----------------------------------------------------------------------
 # Directory classes.
 def _audit_campaign(directory: Path, report: DoctorReport) -> List[Finding]:
@@ -480,19 +401,14 @@ def _audit_campaign(directory: Path, report: DoctorReport) -> List[Finding]:
             report.checked.append(str(error_path))
             findings.extend(_audit_json_file(error_path, "campaign-error"))
 
-    # Sharded-run artefacts: the fleet summary and the health record
-    # (a repro-run/1 RunRecord, so the registry check applies too).
+    # The health record is a repro-run/1 RunRecord, so the registry
+    # check applies too.
     from ..harness.scheduler import HEALTH_RECORD_NAME
-    from ..service.dispatch import SHARD_MANIFEST_NAME
 
-    for name, category in (
-        (SHARD_MANIFEST_NAME, "shard-manifest"),
-        (HEALTH_RECORD_NAME, "campaign-health"),
-    ):
-        extra = directory / name
-        if extra.exists():
-            report.checked.append(str(extra))
-            findings.extend(_audit_json_file(extra, category))
+    health = directory / HEALTH_RECORD_NAME
+    if health.exists():
+        report.checked.append(str(health))
+        findings.extend(_audit_json_file(health, "campaign-health"))
 
     for sub in ("result_cache", "trace_cache"):
         nested = directory / sub
@@ -537,17 +453,9 @@ def _audit_path(path: Path, report: DoctorReport) -> List[Finding]:
             return _audit_campaign(path, report)
         if (path / EXPLORE_META_NAME).exists():
             return _audit_explore(path, report)
-        from ..service.server import ANNOUNCE_NAME, LEDGER_NAME
-
-        if (path / LEDGER_NAME).exists() or (path / ANNOUNCE_NAME).exists():
-            return _audit_service_root(path, report)
-        if (path / "job.json").exists() or (path / "events.jsonl").exists():
-            return _audit_service_job(path, report)
         return _audit_artefact_dir(path, report)
     if not path.exists():
         return [Finding(str(path), "artefact", "unreadable", "no such file")]
-    if path.name == "events.jsonl":
-        return _audit_events_log(path, report)
     report.checked.append(str(path))
     if path.name == "determinism.json" and path.parent.name == "goldens":
         return _audit_goldens(path)

@@ -95,10 +95,6 @@ class CampaignManifest:
     experiments: Tuple[str, ...]
     chaos: Optional[dict] = None       # last run's chaos settings (info only)
     backend: Optional[str] = None      # engine backend workers run under
-    #: Last sharded run's fleet summary (per-shard wall clock, deaths)
-    #: — mirrored from ``shards.json`` so ``repro status`` reads one
-    #: file.  ``None`` for campaigns that never ran sharded.
-    shards: Optional[dict] = None
     #: Workload references the campaign was created over (normalized
     #: ``family:target`` refs replacing the scale preset's mixes).
     #: ``None`` means the scale's default mixes — the pre-registry
@@ -196,7 +192,6 @@ class CampaignManifest:
             experiments=tuple(data["experiments"]),
             chaos=data.get("chaos"),
             backend=data.get("backend"),
-            shards=data.get("shards"),
             workloads=tuple(workloads) if workloads else None,
             tasks={
                 task_id: TaskEntry.from_json(entry)
@@ -278,12 +273,8 @@ class CampaignManifest:
                 for task_id, entry in sorted(self.tasks.items())
             },
         }
-        # Only sharded campaigns carry a fleet summary; omitting the
-        # key keeps never-sharded manifests byte-identical to PR 6's.
-        if self.shards is not None:
-            document["shards"] = self.shards
-        # Same byte-stability rule: only campaigns created over an
-        # explicit workload list carry the key.
+        # Only campaigns created over an explicit workload list carry
+        # the key, keeping default manifests byte-stable.
         if self.workloads is not None:
             document["workloads"] = list(self.workloads)
         write_json_atomic(self.path, document, schema=MANIFEST_FORMAT)

@@ -80,9 +80,9 @@ Progress = Optional[Callable[[str], None]]
 _WAIT_CAP = 0.2
 
 #: Name of the per-campaign health record (a ``repro-run/1`` RunRecord
-#: in a blob envelope) written after every scheduler invocation, so the
-#: file exporter and the service's streaming ``/metrics`` endpoint read
-#: the same scheduler/storage counters from the same artefact.
+#: in a blob envelope) written after every scheduler invocation; ``repro
+#: status`` and ``repro export`` read the scheduler/storage counters
+#: back from it.
 HEALTH_RECORD_NAME = "campaign.health.json"
 
 # Scheduler counters, declared once like every other spine layer; the
@@ -103,8 +103,6 @@ register_metric("scheduler", "worker_respawns", "count",
                 "Pool workers replaced after dying or blowing a deadline")
 register_metric("scheduler", "cache_hits", "count",
                 "Tasks served from the on-disk result cache")
-register_metric("scheduler", "shard_deaths", "count",
-                "Remote shards lost mid-campaign (sharded dispatch only)")
 
 
 def _default_start_method() -> str:
@@ -142,11 +140,6 @@ class CampaignSettings:
     #: to the ``REPRO_RESULT_CACHE`` env var (unset ⇒ disabled).
     use_result_cache: bool = True
     result_cache_dir: Optional[str] = None
-    #: Shard endpoints (``host:port`` of ``repro serve-worker``
-    #: processes).  When set, the campaign runs under the sharded
-    #: dispatcher instead of the local pool; ``jobs`` is ignored — the
-    #: fleet size is the parallelism.
-    shards: Optional[Sequence[str]] = None
 
 
 @dataclass
@@ -169,14 +162,6 @@ class CampaignReport:
     #: verified, checkpointed and manifested like worker results, but
     #: never dispatched to a worker.
     cache_hits: int = 0
-    #: Shards lost mid-run (sharded dispatch; pool deaths are
-    #: ``worker_respawns``).  Their unstarted units requeued to
-    #: survivors attempt-free.
-    shard_deaths: int = 0
-    #: Wall seconds each shard spent attached to this run, by shard id
-    #: (sharded dispatch only) — mirrored into ``shards.json`` and the
-    #: campaign manifest for ``repro status``.
-    shard_walls: Dict[str, float] = field(default_factory=dict)
 
     @property
     def failed_count(self) -> int:
@@ -311,23 +296,6 @@ class CampaignRunner:
             ResultCache(cache_root) if cache_root is not None else None
         )
         self._fingerprint = code_fingerprint()
-        #: Structured telemetry tap: when set (the service server sets
-        #: it to its event log), every unit/shard lifecycle event is
-        #: delivered as a dict.  Purely observational — a sink that
-        #: raises is disarmed, never the campaign.
-        self.event_sink: Optional[Callable[[dict], None]] = None
-
-    def _event(self, kind: str, /, **fields) -> None:
-        # Positional-only: events carry a "kind" *field* too (failure
-        # kinds), which must not collide with the event name argument.
-        if self.event_sink is None:
-            return
-        event = {"event": kind}
-        event.update(fields)
-        try:
-            self.event_sink(event)
-        except Exception:
-            self.event_sink = None  # a broken tap must not kill the run
 
     # ------------------------------------------------------------------
     # shared helpers
@@ -409,12 +377,6 @@ class CampaignRunner:
             )
             report.completed += 1
             report.cache_hits += 1
-            self._event(
-                "unit_cached",
-                task_id=task.task_id,
-                completed=report.completed + report.skipped,
-                total=report.total,
-            )
             self.progress(
                 f"cached {task.task_id} "
                 f"({report.completed + report.skipped}/{report.total})"
@@ -484,13 +446,6 @@ class CampaignRunner:
             )
         report.completed += 1
         report.durations[task.task_id] = duration
-        self._event(
-            "unit_done",
-            task_id=task.task_id,
-            elapsed=duration,
-            completed=report.completed + report.skipped,
-            total=report.total,
-        )
         self.progress(
             f"done {task.task_id} "
             f"({report.completed + report.skipped}/{report.total})"
@@ -514,13 +469,6 @@ class CampaignRunner:
             report.failed.append(
                 TaskFailureReport(task.task_id, state.attempts, state.failures)
             )
-            self._event(
-                "unit_failed",
-                task_id=task.task_id,
-                attempts=state.attempts,
-                kind=failure.kind,
-                detail=failure.detail,
-            )
             self.progress(
                 f"FAILED {task.task_id} after {state.attempts} attempts "
                 f"({failure.kind}: {failure.detail})"
@@ -537,13 +485,6 @@ class CampaignRunner:
         )
         state.next_eligible = time.monotonic() + delay
         report.retried_attempts += 1
-        self._event(
-            "unit_retry",
-            task_id=task.task_id,
-            attempt=state.attempts,
-            kind=failure.kind,
-            delay=delay,
-        )
         self.progress(
             f"retry {task.task_id} in {delay:.2g}s "
             f"(attempt {state.attempts} {failure.kind}: {failure.detail})"
@@ -588,24 +529,24 @@ class CampaignRunner:
             queue.append(_TaskState(task=task, attempts=entry.attempts))
         queue = self._serve_from_cache(queue, report)
         self.manifest.save()
-        # Imported lazily: the service package depends on this module.
-        from ..service.dispatch import make_dispatcher
-
-        dispatcher = make_dispatcher(self.settings)
+        if self.settings.isolate_tasks:
+            mode, run_queue = "isolated", self._run_isolated
+        else:
+            mode, run_queue = "pool", self._run_pool
         self.progress(
             f"campaign: {len(tasks)} tasks, jobs={self.settings.jobs} "
-            f"[{dispatcher.name}] (cpu_count={os.cpu_count() or 1})"
+            f"[{mode}] (cpu_count={os.cpu_count() or 1})"
         )
         if report.skipped:
             self.progress(f"resume: skipping {report.skipped} verified tasks")
 
         try:
-            dispatcher.run(self, queue, report)
+            run_queue(queue, report)
         finally:
-            # Even an aborted run (all shards lost, Ctrl-C) leaves its
-            # failure report and health record behind for resume/audit.
+            # Even an aborted run (Ctrl-C) leaves its failure report
+            # and health record behind for resume/audit.
             self._write_failure_report(report)
-            self._write_health_record(report, dispatcher.name)
+            self._write_health_record(report, mode)
         return report
 
     def _stop_requested(self, report: CampaignReport) -> bool:
@@ -1003,9 +944,7 @@ class CampaignRunner:
 
         One ``repro-run/1`` RunRecord (kind ``campaign-health``) in a
         checksummed envelope: the exact document ``repro export`` and
-        ``repro status`` read back, and the one the service's streaming
-        ``/metrics`` endpoint re-exports — file and socket telemetry
-        agree because they are the same record.
+        ``repro status`` read back.
         """
         from ..fsio.health import HEALTH
         from ..metrics.record import RunRecord
@@ -1030,7 +969,6 @@ class CampaignRunner:
             meta=meta,
             metrics=metrics,
             values={
-                "shard_walls": dict(sorted(report.shard_walls.items())),
                 "task_seconds": round(sum(report.durations.values()), 6),
             },
         )

@@ -23,12 +23,6 @@ The attempt contract in both modes:
 * anything else — a crash, a kill, a hang — is the scheduler's
   problem to detect from the outside.
 
-Shard processes (``repro serve-worker``, :mod:`repro.service.shard`)
-are a third caller of the same contract: they execute
-:func:`run_attempt` on payloads received over a socket instead of a
-pipe, which is why sharded campaigns inherit every chaos and
-durability guarantee the local modes prove.
-
 Pool workers speak a tiny message protocol over their pipe:
 ``("run", [payload_json, ...])`` and ``("exit",)`` inbound;
 ``("start", task_id, monotonic)`` — the heartbeat that arms the

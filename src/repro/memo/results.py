@@ -164,27 +164,6 @@ class ResultCache:
             return None
         return payload
 
-    def summary(self) -> Dict[str, int]:
-        """Entry count and byte volume of the store, best-effort.
-
-        Service-status telemetry: ``repro serve`` reports how much the
-        shared cache holds without opening (or trusting) any entry.
-        Quarantined files live in a subdirectory and are not counted —
-        they are the doctor's to report, not the cache's.
-        """
-        entries = 0
-        size = 0
-        try:
-            for path in self.root.glob("*.json"):
-                entries += 1
-                try:
-                    size += path.stat().st_size
-                except OSError:
-                    continue
-        except OSError:
-            pass
-        return {"entries": entries, "bytes": size}
-
     def put(
         self,
         key: str,

@@ -118,9 +118,8 @@ def _records_from_campaign(directory: Path) -> List[RunRecord]:
                 record.meta.setdefault("result_sha256", entry.sha256)
             record.meta.setdefault("campaign_scale", manifest.scale)
             records.append(record)
-    # The campaign health record (scheduler.* / storage.* counters plus
-    # per-shard wall clocks) rides along when present, so the file
-    # exporter and the service's /metrics endpoint read the same spine.
+    # The campaign health record (scheduler.* / storage.* counters)
+    # rides along when present, so exports carry the run's own health.
     from ..harness.scheduler import HEALTH_RECORD_NAME
 
     health_path = directory / HEALTH_RECORD_NAME
@@ -291,16 +290,16 @@ def check_artifacts(
         for record in records:
             if record.kind == "bench":
                 # Matrix benches carry "cases"; the parallel-scaling
-                # bench carries "scaling"; the memo, explorer and
-                # service benches carry their namesake sections — each
-                # must keep its schema-tagged document for the
-                # consumers (``compare``, the speedup gates) to read.
+                # bench carries "scaling"; the memo and explorer
+                # benches carry their namesake sections — each must
+                # keep its schema-tagged document for the consumers
+                # (``compare``, the speedup gates) to read.
                 document = record.values.get("document")
                 if (
                     not isinstance(document, dict)
                     or "schema" not in document
-                    or not ({"cases", "scaling", "memo", "explore",
-                             "service"} & set(document))
+                    or not ({"cases", "scaling", "memo", "explore"}
+                            & set(document))
                 ):
                     errors.append(
                         f"{path}: bench record has no embedded document"
@@ -355,7 +354,7 @@ def _registry_drift_errors(registry: MetricRegistry = REGISTRY) -> List[str]:
             )
     # The campaign health record is built by collect()ing these two
     # layers straight off their producing objects, so a renamed field
-    # there must show up here, not as a silent zero in /metrics.
+    # there must show up here, not as a silent zero in exports.
     from ..fsio.health import StorageHealth
     from ..harness.scheduler import CampaignReport
 

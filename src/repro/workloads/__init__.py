@@ -7,22 +7,13 @@ ready-to-simulate :class:`~repro.engine.Workload`.  Registered
 families: ``synthetic`` (the paper's Table V mixes), ``datacenter`` /
 ``phase`` / ``adversarial`` (scenario families,
 :mod:`repro.workloads.families`), and ``external`` (imported traces,
-:mod:`repro.workloads.external`).
-
-.. deprecated::
-   The flat, single-family names re-exported below (``PROFILES``,
-   ``MIXES``, ``profile``, ``mix_profiles``, …) describe only the
-   ``synthetic`` family and are kept as thin back-compat shims over
-   the registry.  New code should resolve workloads through the
-   registry API (``get_family``/``resolve_workload_ref``/
-   ``build_workload``) so every family — not just the paper's mixes —
-   is reachable.
+:mod:`repro.workloads.external`).  The synthetic family's profile
+library, mixes and profile builders live in their own submodules
+(:mod:`.profiles`, :mod:`.mixes`, :mod:`.synthetic`).
 """
 
 from .data import DataModel
 from .generator import AppTraceGenerator
-from .mixes import MIX_NAMES, MIXES, mix_profiles
-from .profiles import APP_NAMES, PROFILES, AppProfile, make_comp_weights, profile
 from .registry import (
     DEFAULT_FAMILY,
     SyntheticProfileFamily,
@@ -39,15 +30,6 @@ from .registry import (
     workload_ref_fingerprint,
     workload_refs,
 )
-from .synthetic import (
-    homogeneous_mix,
-    incompressible_profile,
-    looping_profile,
-    pointer_chase_profile,
-    scanning_profile,
-    streaming_profile,
-    write_heavy_profile,
-)
 from .trace import CORE_ADDR_SHIFT, MaterializedTrace, TraceRecord, materialize
 from .traceio import (
     TraceFormatError,
@@ -60,16 +42,11 @@ from .traceio import (
 )
 
 __all__ = [
-    "APP_NAMES",
-    "AppProfile",
     "AppTraceGenerator",
     "CORE_ADDR_SHIFT",
     "DEFAULT_FAMILY",
     "DataModel",
-    "MIXES",
-    "MIX_NAMES",
     "MaterializedTrace",
-    "PROFILES",
     "SyntheticProfileFamily",
     "TargetSpec",
     "TraceFormatError",
@@ -80,26 +57,16 @@ __all__ = [
     "family_names",
     "file_sha256",
     "get_family",
-    "homogeneous_mix",
-    "incompressible_profile",
     "load_trace",
     "load_trace_csv",
-    "looping_profile",
-    "make_comp_weights",
     "materialize",
-    "mix_profiles",
     "normalize_workload_ref",
     "parse_workload_ref",
-    "pointer_chase_profile",
-    "profile",
     "register_family",
     "resolve_workload_ref",
     "save_trace",
     "save_trace_csv",
-    "scanning_profile",
-    "streaming_profile",
     "validate_trace",
     "workload_ref_fingerprint",
     "workload_refs",
-    "write_heavy_profile",
 ]

@@ -33,8 +33,8 @@ Registered families:
 
 Adding a family is subclassing :class:`WorkloadFamily` (or
 :class:`SyntheticProfileFamily` for profile-backed ones) and calling
-:func:`register_family`; campaigns, memoization, sharded dispatch and
-exploration inherit it with no further wiring.
+:func:`register_family`; campaigns, memoization and exploration
+inherit it with no further wiring.
 """
 
 from __future__ import annotations

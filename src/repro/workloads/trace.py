@@ -11,15 +11,15 @@ Storage is columnar: three flat parallel arrays (``array('Q')`` gaps,
 ``array('Q')`` addresses, ``bytearray`` write flags) indexed by a
 cursor.  The engine's burst loop replays by plain index into
 :meth:`MaterializedTrace.replay_columns` — no generator resumption, no
-per-record tuple unpacking — which is several times cheaper per record
-than the original ``player()`` protocol.  ``player()`` and ``records``
-remain as compatibility views for code that still wants record tuples.
+per-record tuple unpacking — and wraps the cursor to replay the trace
+cyclically.  ``records`` is a record-tuple view for code that wants
+tuples.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 #: Address bits reserved per core: app address spaces are disjoint,
 #: mirroring multi-programmed (no-sharing) SPEC mixes.
@@ -100,17 +100,6 @@ class MaterializedTrace:
             TraceRecord(gap, addr, bool(write))
             for gap, addr, write in zip(self.gaps, self.addrs, self.writes)
         ]
-
-    def player(self) -> Iterator[TraceRecord]:
-        """Infinite iterator cycling through the records (legacy protocol)."""
-        gaps, addrs, writes = self.replay_columns()
-        n = len(addrs)
-        cursor = 0
-        while True:
-            yield TraceRecord(gaps[cursor], addrs[cursor], writes[cursor])
-            cursor += 1
-            if cursor == n:
-                cursor = 0
 
     def replay_columns(self) -> ReplayColumns:
         """(gaps, addrs, writes) as lists, cached across simulations."""

@@ -76,10 +76,11 @@ def test_write_bench_roundtrip(bench_document, tmp_path):
     # load_bench unwraps back to the timing document ...
     assert load_bench(path) == bench_document
     assert load_bench(tmp_path / "BENCH_absent.json") is None
-    # ... and still reads a legacy raw document.
+    # ... and refuses a raw pre-envelope document, naming the file.
     legacy = tmp_path / "BENCH_legacy.json"
     legacy.write_text(json.dumps(bench_document))
-    assert load_bench(legacy) == bench_document
+    with pytest.raises(ValueError, match="BENCH_legacy.json"):
+        load_bench(legacy)
 
 
 # ----------------------------------------------------------------------
@@ -143,8 +144,7 @@ def test_cli_bench_regression_exits_nonzero(bench_document, tmp_path):
     inflated = _document(
         measured * 10, [("bh", "mix1", measured * 10)], label="base"
     )
-    baseline_path = tmp_path / "BENCH_base.json"
-    baseline_path.write_text(json.dumps(inflated))
+    baseline_path = write_bench(inflated, tmp_path)
     argv = [
         "bench", "--scale", "smoke", "--policies", "bh", "--mixes", "mix1",
         "--epochs", "0.5", "--warmup-epochs", "0.25",
@@ -156,10 +156,9 @@ def test_cli_bench_regression_exits_nonzero(bench_document, tmp_path):
     assert (tmp_path / "BENCH_gate.json").exists()
     # against a slower baseline the same run passes (improvement);
     # a deliberately tiny value keeps this immune to timing noise
-    slower = tmp_path / "BENCH_slower.json"
-    slower.write_text(json.dumps(_document(
+    slower = write_bench(_document(
         measured / 10, [("bh", "mix1", measured / 10)], label="slower"
-    )))
+    ), tmp_path)
     assert main(argv[:-1] + [str(slower)]) == 0
 
 
@@ -237,8 +236,7 @@ def test_cli_bench_prints_phase_deltas_and_host_warning(
     baseline["phase_breakdown"] = _phases(1.0, 1.0, 1.0)
     baseline["host"] = {"platform": "OtherOS", "machine": "arm64",
                         "cpu_count": 1}
-    baseline_path = tmp_path / "BENCH_base.json"
-    baseline_path.write_text(json.dumps(baseline))
+    baseline_path = write_bench(baseline, tmp_path)
     main([
         "bench", "--scale", "smoke", "--policies", "bh", "--mixes", "mix1",
         "--epochs", "0.5", "--warmup-epochs", "0.25",

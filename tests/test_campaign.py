@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.fsio.durable import unwrap_json
 from repro.harness import (
     COMPLETE,
     FAILED,
@@ -22,6 +23,7 @@ from repro.harness import (
     load_result,
     run_campaign,
 )
+from repro.harness.scheduler import HEALTH_RECORD_NAME
 
 FAST = CampaignSettings(jobs=2, task_timeout=60, retries=2, backoff_base=0.01)
 
@@ -31,6 +33,12 @@ def result_bytes(directory) -> dict:
     return {
         p.name: p.read_bytes() for p in (Path(directory) / "results").glob("*.json")
     }
+
+
+def health_record(directory) -> dict:
+    """The campaign's health RunRecord payload (checksum-verified)."""
+    path = Path(directory) / HEALTH_RECORD_NAME
+    return unwrap_json(json.loads(path.read_text()), path=path)
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +67,30 @@ def test_campaign_completes_and_checkpoints(reference_campaign):
         assert payload["task_id"] == task_id
         assert payload["status"] == "ok"
         assert manifest.verified_complete(task_id)
+    health = health_record(reference_campaign)
+    assert health["meta"]["mode"] == "pool"
+    assert health["metrics"]["scheduler.completed"] == 5
+    assert health["metrics"]["scheduler.failed"] == 0
+
+
+def test_cli_status_and_prom_export_read_the_campaign(
+    reference_campaign, capsys
+):
+    assert main(["status", str(reference_campaign)]) == 0
+    out = capsys.readouterr().out
+    assert "tasks: 5 complete" in out
+    last_run = [line for line in out.splitlines() if "last run:" in line]
+    assert len(last_run) == 1
+    assert "completed=5" in last_run[0] and "failed=0" in last_run[0]
+
+    assert main(["export", "--format", "prom", str(reference_campaign)]) == 0
+    out = capsys.readouterr().out
+    assert "# TYPE repro_scheduler_completed counter" in out
+    samples = [
+        line for line in out.splitlines()
+        if line.startswith("repro_scheduler_completed{")
+    ]
+    assert samples and samples[0].endswith(" 5")
 
 
 def test_interrupted_campaign_marks_incomplete_and_resumes_identically(
@@ -208,6 +240,10 @@ def test_isolated_mode_is_byte_identical_to_pool(tmp_path, reference_campaign):
     manifest = CampaignManifest.load(directory)
     assert set(report.durations) == set(manifest.tasks)
     assert all(seconds > 0 for seconds in report.durations.values())
+    health = health_record(directory)
+    assert health["meta"]["mode"] == "isolated"
+    assert health["metrics"]["scheduler.completed"] == 5
+    assert health["metrics"]["scheduler.failed"] == 0
 
 
 def test_pool_worker_crash_loses_nothing(tmp_path, reference_campaign):

@@ -1,12 +1,16 @@
 """Tests for the Workload bundle and the Simulation engine."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.bench.golden import simulation_digest
 from repro.config import SystemConfig
 from repro.core import make_policy
 from repro.engine import Simulation, Workload, run_policy_on_mix
 from repro.experiments.common import SMOKE
-from repro.workloads import mix_profiles
+from repro.workloads.mixes import mix_profiles
+from repro.workloads.trace import MaterializedTrace
 
 
 def small_workload(mix="mix1", records=5000):
@@ -127,6 +131,30 @@ def test_policies_see_identical_reference_streams():
     assert a1 > 0
     # policies change latencies (and thus pacing) but not the stream
     assert wl.traces[0].records[:100] == wl2.traces[0].records[:100]
+
+
+@pytest.mark.parametrize("policy_name", ["bh", "cp_sd"])
+def test_replay_wraps_to_trace_start(policy_name):
+    """A core that runs past the end of its trace replays it from the
+    first record: the run is indistinguishable from one over the same
+    records concatenated twice."""
+    n = 2000
+    scale = replace(SMOKE, trace_records_per_core=n)
+    config = scale.system()
+    wl = scale.workload("mix1")
+    doubled = Workload.from_traces(
+        wl.profiles,
+        [MaterializedTrace(trace.records * 2) for trace in wl.traces],
+        seed=wl.seed,
+        family=wl.family,
+    )
+    cycles = config.dueling.epoch_cycles
+    wrapped = Simulation(config, make_policy(policy_name), wl).run(cycles, 0)
+    assert max(core.accesses for core in wrapped.stats.cores) > n
+    unwrapped = Simulation(config, make_policy(policy_name), doubled).run(
+        cycles, 0
+    )
+    assert simulation_digest(wrapped) == simulation_digest(unwrapped)
 
 
 def test_run_policy_on_mix_helper():

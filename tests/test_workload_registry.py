@@ -232,19 +232,7 @@ def test_campaign_units_enumerate_over_new_families():
 
 
 # ----------------------------------------------------------------------
-# back-compat shims
-
-def test_legacy_names_still_importable():
-    from repro.workloads import (  # noqa: F401
-        APP_NAMES,
-        MIX_NAMES,
-        AppProfile,
-        mix_profiles,
-        profile,
-    )
-
-    assert "mix1" in MIX_NAMES
-
+# package root
 
 def test_registry_api_reachable_from_package_root():
     import repro.workloads as pkg

@@ -6,17 +6,13 @@ from hypothesis import strategies as st
 
 from repro.compression.encodings import BLOCK_SIZE
 from repro.workloads import (
-    APP_NAMES,
-    MIXES,
     AppTraceGenerator,
     DataModel,
     MaterializedTrace,
-    PROFILES,
-    make_comp_weights,
     materialize,
-    mix_profiles,
-    profile,
 )
+from repro.workloads.mixes import MIXES, mix_profiles
+from repro.workloads.profiles import PROFILES, make_comp_weights, profile
 from repro.workloads.trace import CORE_ADDR_SHIFT
 
 
@@ -146,14 +142,15 @@ def test_gap_distribution_mean():
 # ----------------------------------------------------------------------
 # traces
 # ----------------------------------------------------------------------
-def test_materialize_and_cycle():
+def test_materialize_replay_columns_match_records():
+    """The engine replays the flat columns; they must hold the records.
+    (Cyclic replay is the engine's own wrap, tested in test_engine.)"""
     prof = profile("astar06").scaled(1 / 16)
     trace = materialize(AppTraceGenerator(prof, 0, seed=0), 100)
     assert len(trace) == 100
-    player = trace.player()
-    first_pass = [next(player) for _ in range(100)]
-    second_pass = [next(player) for _ in range(100)]
-    assert first_pass == second_pass == trace.records
+    gaps, addrs, writes = trace.replay_columns()
+    assert list(zip(gaps, addrs, writes)) == trace.records
+    assert all(type(w) is bool for w in writes)
 
 
 def test_trace_stats():
