@@ -1,7 +1,6 @@
 # Convenience targets; scripts/ci.sh is the canonical gate.
 
-.PHONY: ci test bench bench-parallel bench-memo bench-backend \
-	explore bench-explore
+.PHONY: ci test bench bench-parallel bench-memo explore bench-explore
 
 ci:
 	scripts/ci.sh
@@ -13,17 +12,6 @@ test:
 bench:
 	PYTHONPATH=src python -m repro bench --scale smoke \
 		--baseline benchmarks/results/BENCH_engine.json
-
-# Vectorized-backend bench: full matrix, diffed cross-backend against
-# the committed reference artefact (the ratio is the backend speedup;
-# the committed BENCH_vectorized.json records 1.5x over BENCH_engine,
-# 3.0x over the seed BENCH_baseline).  Regression beyond the
-# threshold exits non-zero.
-bench-backend:
-	PYTHONPATH=src python -m repro bench --scale smoke \
-		--backend vectorized --repeats 5 --out $$(mktemp -d) \
-		--baseline benchmarks/results/BENCH_engine.json \
-		--cross-backend --threshold 0.25
 
 # Campaign scaling bench (pool vs isolated, jobs sweep).
 bench-parallel:

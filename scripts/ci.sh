@@ -3,7 +3,7 @@
 #
 # Usage: scripts/ci.sh
 #   [--skip-tests|--skip-bench|--skip-memo|--skip-schema|--skip-durability|
-#    --skip-backend|--skip-analytical|--skip-workloads]
+#    --skip-analytical|--skip-workloads]
 #
 # The bench leg runs a *reduced* matrix (3 policies x 1 mix, smoke
 # scale, best-of-3) against the committed full-matrix baseline —
@@ -20,7 +20,6 @@ RUN_BENCH=1
 RUN_MEMO=1
 RUN_SCHEMA=1
 RUN_DURABILITY=1
-RUN_BACKEND=1
 RUN_ANALYTICAL=1
 RUN_WORKLOADS=1
 for arg in "$@"; do
@@ -30,7 +29,6 @@ for arg in "$@"; do
     --skip-memo) RUN_MEMO=0 ;;
     --skip-schema) RUN_SCHEMA=0 ;;
     --skip-durability) RUN_DURABILITY=0 ;;
-    --skip-backend) RUN_BACKEND=0 ;;
     --skip-analytical) RUN_ANALYTICAL=0 ;;
     --skip-workloads) RUN_WORKLOADS=0 ;;
     *) echo "ci.sh: unknown argument '$arg'" >&2; exit 2 ;;
@@ -66,46 +64,6 @@ if [[ "$RUN_BENCH" == 1 ]]; then
     --repeats 3 \
     --out "$TMP_ROOT/bench" \
     --baseline benchmarks/results/BENCH_engine.json \
-    --threshold 0.25
-fi
-
-if [[ "$RUN_BACKEND" == 1 ]]; then
-  echo "== ci: engine backend equivalence =="
-  # Every registered backend must reproduce the committed golden
-  # digests bit-for-bit — the admissibility proof for the vectorized
-  # kernel (docs/architecture.md, Engine backends).  Computed in one
-  # process so a divergence reports which backend and policy drifted.
-  python - <<'PY'
-import json, sys
-from repro.bench.golden import compute_golden_digests
-from repro.engine_backends import backend_names
-
-committed = json.load(open("tests/goldens/determinism.json"))
-failures = []
-for backend in backend_names():
-    computed = compute_golden_digests(backend=backend)
-    for policy, digest in computed.items():
-        if committed.get(policy) != digest:
-            failures.append((backend, policy, digest))
-    print(f"backend {backend}: {len(computed)} golden digests match")
-if failures:
-    for backend, policy, digest in failures:
-        print(f"FAIL: {backend}/{policy} computed {digest}", file=sys.stderr)
-    sys.exit(1)
-PY
-  # The vectorized backend must also hold its speed advantage: a
-  # reduced-matrix run diffed against the committed reference-backend
-  # artefact (explicitly cross-backend — that ratio IS the speedup).
-  python -m repro bench \
-    --scale smoke \
-    --backend vectorized \
-    --label ci_vectorized \
-    --policies bh,ca_rwr,cp_sd \
-    --mixes mix1 \
-    --repeats 3 \
-    --out "$TMP_ROOT/backend" \
-    --baseline benchmarks/results/BENCH_engine.json \
-    --cross-backend \
     --threshold 0.25
 fi
 
@@ -176,8 +134,8 @@ if [[ "$RUN_WORKLOADS" == 1 ]]; then
   echo "== ci: workload registry completeness + golden byte-identity =="
   # Three gates.  (1) Registry byte-identity: the golden window built
   # *through the registry* must reproduce the committed pre-registry
-  # digests under every engine backend — the proof that the synthetic
-  # family is the old construction, not a re-implementation of it.
+  # digests — the proof that the synthetic family is the old
+  # construction, not a re-implementation of it.
   # (2) Registry completeness: every registered family's first target
   # must describe itself, build at a tiny scale, and run one short
   # simulation to a schema-valid RunRecord stamped with its family.
@@ -186,21 +144,16 @@ if [[ "$RUN_WORKLOADS" == 1 ]]; then
   python - <<'PY'
 import json, sys
 from repro.bench.golden import compute_golden_digests
-from repro.engine_backends import backend_names
 
 committed = json.load(open("tests/goldens/determinism.json"))
-failures = []
-for backend in backend_names():
-    computed = compute_golden_digests(backend=backend, via_registry=True)
-    for policy, digest in computed.items():
-        if committed.get(policy) != digest:
-            failures.append((backend, policy, digest))
-    print(f"registry/{backend}: {len(computed)} golden digests match")
+computed = compute_golden_digests(via_registry=True)
+failures = [(policy, digest) for policy, digest in computed.items()
+            if committed.get(policy) != digest]
 if failures:
-    for backend, policy, digest in failures:
-        print(f"FAIL: registry/{backend}/{policy} computed {digest}",
-              file=sys.stderr)
+    for policy, digest in failures:
+        print(f"FAIL: registry/{policy} computed {digest}", file=sys.stderr)
     sys.exit(1)
+print(f"registry: {len(computed)} golden digests match")
 PY
   REPRO_EXTERNAL_WORKLOADS="$TMP_ROOT/external" python - <<'PY'
 from dataclasses import replace

@@ -17,11 +17,9 @@ from .compare import (
     STATUS_MISSING_BASELINE,
     STATUS_OK,
     STATUS_REGRESSION,
-    BackendMismatchError,
     BenchComparison,
     CaseComparison,
     PhaseComparison,
-    bench_backend,
     compare_benches,
     load_bench,
 )
@@ -33,11 +31,9 @@ from .runner import BENCH_SCHEMA, BenchMatrix, phase_breakdown, run_bench, write
 
 __all__ = [
     "BENCH_SCHEMA",
-    "BackendMismatchError",
     "BenchComparison",
     "BenchMatrix",
     "CaseComparison",
-    "bench_backend",
     "GOLDEN_MIX",
     "GOLDEN_POLICIES",
     "ExploreBenchError",

@@ -34,26 +34,6 @@ STATUS_OK = "ok"
 STATUS_MISSING_BASELINE = "missing-baseline"
 
 
-class BackendMismatchError(ValueError):
-    """Raised when two bench documents come from different backends.
-
-    Cross-backend ratios answer "which backend is faster", not "did
-    this change regress the engine" — mixing them in the regression
-    gate silently moves the goalposts.  The caller must opt in with
-    ``cross_backend=True`` (the CLI's ``--cross-backend``).
-    """
-
-
-def bench_backend(document: dict) -> str:
-    """Backend a bench document was recorded under.
-
-    Documents written before backends existed were all timed on the
-    scalar loop that is now the ``reference`` backend, so a missing
-    field means ``reference``.
-    """
-    return document.get("backend") or "reference"
-
-
 #: Phase-breakdown keys diffed between documents (seconds spent per
 #: engine phase across the matrix; see ``runner.phase_breakdown``).
 _PHASE_KEYS = ("trace_replay_est_s", "access_path_s", "epoch_bookkeeping_s")
@@ -151,28 +131,12 @@ def compare_benches(
     current: dict,
     baseline: Optional[dict],
     threshold: float = 0.10,
-    cross_backend: bool = False,
 ) -> BenchComparison:
-    """Diff two bench documents (see module docstring for the verdict).
-
-    Refuses to compare documents recorded under different engine
-    backends unless ``cross_backend`` is set: a backend switch changes
-    what is being measured, so a same-backend gate would read it as a
-    spurious regression/improvement.
-    """
+    """Diff two bench documents (see module docstring for the verdict)."""
     if not 0 < threshold < 1:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if baseline is None:
         return BenchComparison(status=STATUS_MISSING_BASELINE, threshold=threshold)
-    cur_backend = bench_backend(current)
-    base_backend = bench_backend(baseline)
-    if cur_backend != base_backend and not cross_backend:
-        raise BackendMismatchError(
-            f"refusing to compare backend {cur_backend!r} against baseline "
-            f"backend {base_backend!r}; pass --cross-backend to compare "
-            "engine backends against each other"
-        )
-
     base_cases = {
         (c["policy"], c["mix"]): c for c in baseline.get("cases", [])
     }

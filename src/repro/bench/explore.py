@@ -16,7 +16,6 @@ import tempfile
 import time
 from typing import Optional
 
-from ..config import resolve_backend_name
 from ..experiments.common import ExperimentScale
 from .runner import BENCH_SCHEMA, _host_metadata
 
@@ -42,9 +41,8 @@ def run_explore_bench(
     say = progress or (lambda message: None)
     settings = ExploreSettings(space=space, confirm=confirm,
                                objective=objective)
-    backend = resolve_backend_name(settings.backend)
     say(f"explore bench: space={space} confirm={confirm} "
-        f"objective={objective} backend={backend}")
+        f"objective={objective}")
 
     with tempfile.TemporaryDirectory(prefix="repro_explore_bench_") as tmp:
         start = time.perf_counter()
@@ -68,7 +66,6 @@ def run_explore_bench(
     return {
         "schema": BENCH_SCHEMA,
         "label": label,
-        "backend": backend,
         "created_unix": time.time(),
         "host": _host_metadata(),
         "scale": scale.name,

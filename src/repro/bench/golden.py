@@ -104,14 +104,9 @@ def _golden_workload(via_registry: bool = False) -> Workload:
     )
 
 
-def compute_golden_digests(
-    backend: str = None, via_registry: bool = False
-) -> Dict[str, str]:
+def compute_golden_digests(via_registry: bool = False) -> Dict[str, str]:
     """Digest of the golden window under each golden policy.
 
-    ``backend`` selects the engine backend (flag > ``REPRO_BACKEND`` >
-    default); the digests must be identical whatever it resolves to —
-    that equality is the backend-equivalence gate of ``scripts/ci.sh``.
     ``via_registry`` resolves the golden workload through the workload
     registry instead of constructing it directly; the digests must
     again be identical (the registry byte-identity gate).
@@ -121,9 +116,7 @@ def compute_golden_digests(
     digests: Dict[str, str] = {}
     for policy_name in GOLDEN_POLICIES:
         workload = _golden_workload(via_registry=via_registry)
-        sim = Simulation(
-            config, make_policy(policy_name), workload, backend=backend
-        )
+        sim = Simulation(config, make_policy(policy_name), workload)
         result = sim.run(
             cycles=epoch * (GOLDEN_WARMUP_EPOCHS + GOLDEN_EPOCHS),
             warmup_cycles=epoch * GOLDEN_WARMUP_EPOCHS,

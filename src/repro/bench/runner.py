@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
-from ..config import resolve_backend_name
 from ..core import make_policy
 from ..engine import Simulation, Workload
 from ..experiments.common import ExperimentScale, geometric_mean
@@ -62,11 +61,6 @@ class BenchMatrix:
     warmup_epochs: float = 0.5
     seed: int = 0
     repeats: int = 1
-    #: Engine backend to time (``None`` → flag/env/default resolution).
-    #: An execution strategy, not a modelling choice: every backend is
-    #: pinned byte-identical by the golden digests, so the matrix
-    #: numbers stay comparable while the engine underneath changes.
-    backend: Optional[str] = None
 
 
 def _host_metadata() -> dict:
@@ -136,9 +130,7 @@ def _time_case(
     result = None
     phases = None
     for _ in range(max(1, matrix.repeats)):
-        sim = Simulation(
-            config, make_policy(policy_name), workload, backend=matrix.backend
-        )
+        sim = Simulation(config, make_policy(policy_name), workload)
         start = time.perf_counter()
         result = sim.run(cycles=cycles, warmup_cycles=warmup)
         seconds = time.perf_counter() - start
@@ -164,7 +156,7 @@ def phase_breakdown(cases: Sequence[dict], raw_replay: dict) -> dict:
     """Aggregate the per-case phase timings into one breakdown.
 
     ``access_path_s`` and ``epoch_bookkeeping_s`` are measured inside
-    the backend; ``trace_replay_est_s`` is the record-delivery floor
+    the engine loop; ``trace_replay_est_s`` is the record-delivery floor
     *estimated* from the raw-replay rate (it happens inline in the
     burst loop, so it cannot be clocked separately without perturbing
     the thing being measured).
@@ -179,9 +171,6 @@ def phase_breakdown(cases: Sequence[dict], raw_replay: dict) -> dict:
         "trace_replay_est_s": replay_est,
         "access_path_s": access,
         "epoch_bookkeeping_s": epoch,
-        "fallback_cases": sum(
-            1 for c in cases if c.get("phases", {}).get("fallback")
-        ),
     }
 
 
@@ -194,8 +183,6 @@ def run_bench(
     """Run the full matrix and return the canonical result document."""
     matrix = matrix or BenchMatrix()
     say = progress or (lambda message: None)
-    backend = resolve_backend_name(matrix.backend)
-    say(f"engine backend: {backend}")
 
     # Workload build is timed cold on the first mix; the built workloads
     # are then shared across that mix's policy cases, exactly as the
@@ -236,13 +223,10 @@ def run_bench(
         f"access path {breakdown['access_path_s']:.2f}s, "
         f"epoch bookkeeping {breakdown['epoch_bookkeeping_s']:.2f}s"
     )
-    if breakdown["fallback_cases"]:
-        say(f"scalar fallback on {breakdown['fallback_cases']} case(s)")
     say(f"geomean: {geomean:.3f} Mcycles/s over {len(cases)} cases")
     return {
         "schema": BENCH_SCHEMA,
         "label": label,
-        "backend": backend,
         "created_unix": time.time(),
         "host": _host_metadata(),
         "scale": scale.name,
@@ -280,7 +264,6 @@ def bench_record(document: dict) -> RunRecord:
             "label": document.get("label"),
             "scale": document.get("scale"),
             "bench_schema": document.get("schema"),
-            "backend": document.get("backend"),
         },
         metrics=metrics,
         values={"document": document},

@@ -216,30 +216,3 @@ class CacheSet:
         if part == SRAM:
             return self.sram_ways - self.free_sram
         return (self.total_ways - self.sram_ways) - self.free_nvm
-
-    # ------------------------------------------------------------------
-    def export_arrays(self) -> dict:
-        """Snapshot of this set's per-way state as numpy arrays.
-
-        The array-kernel contract: every field a backend is allowed to
-        mutate, in a representation two backends can be diffed over
-        with ``np.array_equal`` — empty frames encode ``tags == -1``,
-        reuse as its ``ReuseClass`` integer value, the recency order as
-        the raw linked-list arrays (sentinel slot included, so the
-        full LRU→MRU sequence is reconstructable).  Read-only: the
-        arrays are fresh copies, never views of live state.
-        """
-        import numpy as np
-
-        return {
-            "tags": np.array(
-                [-1 if t is None else t for t in self.tags], dtype=np.int64
-            ),
-            "dirty": np.array(self.dirty, dtype=np.uint8),
-            "csize": np.array(self.csize, dtype=np.int32),
-            "ecb": np.array(self.ecb, dtype=np.int32),
-            "reuse": np.array([int(r) for r in self.reuse], dtype=np.int8),
-            "rec_prev": np.array(self.rec_prev, dtype=np.int32),
-            "rec_next": np.array(self.rec_next, dtype=np.int32),
-            "free": np.array([self.free_sram, self.free_nvm], dtype=np.int32),
-        }

@@ -536,30 +536,6 @@ class HybridLLC:
     def resident_blocks(self) -> List[int]:
         return [addr for s in self.sets for addr in s.way_of]
 
-    def export_state(self) -> dict:
-        """Full cache state as stacked ``(n_sets, ...)`` numpy matrices.
-
-        Stacks every set's :meth:`CacheSet.export_arrays` field into
-        one matrix per field and adds the NVM side (fault-map
-        capacities, wear byte/write accumulators).  This is the
-        cross-backend equality oracle: two backends that report the
-        same statistics but diverge in resident tags, recency links,
-        free counters or wear are caught by ``np.array_equal`` over
-        these matrices — strictly stronger than the digest, which only
-        covers reported numbers.  Read-only copies, never live views.
-        """
-        import numpy as np
-
-        per_set = [s.export_arrays() for s in self.sets]
-        state = {
-            field: np.stack([arrays[field] for arrays in per_set])
-            for field in per_set[0]
-        }
-        state["fault_capacity"] = np.array(self.faultmap.rows, dtype=np.int32)
-        state["wear_bytes"] = self.wear.bytes_written
-        state["wear_writes"] = self.wear.writes
-        return state
-
     def occupancy_fraction(self) -> float:
         total = self.n_sets * self.geom.total_ways
         used = sum(len(s.way_of) for s in self.sets)

@@ -120,15 +120,6 @@ def _make_policy_checked(spec: str):
     return name, make_policy(name, **kwargs)
 
 
-def _check_backend(value: Optional[str]) -> Optional[str]:
-    """Validate a ``--backend`` value (None = flag/env/default chain)."""
-    if value is None:
-        return None
-    from .engine_backends import backend_names
-
-    return _check_choice("backend", value, backend_names())
-
-
 def _check_workload_ref(value: str) -> str:
     """Validate a workload reference; returns the normalized form.
 
@@ -251,7 +242,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     args.mix = _check_workload_ref(args.mix)
     name, policy = _make_policy_checked(args.policy)
     workload = scale.workload(args.mix, seed=args.seed)
-    sim = Simulation(config, policy, workload, backend=_check_backend(args.backend))
+    sim = Simulation(config, policy, workload)
     epoch = config.dueling.epoch_cycles
     cycles = epoch * (args.warmup_epochs + args.epochs)
     warmup = epoch * args.warmup_epochs
@@ -263,9 +254,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
         profiler = cProfile.Profile()
         result = profiler.runcall(sim.run, cycles=cycles, warmup_cycles=warmup)
-        # The backend is part of the label: a reference profile and a
-        # vectorized profile of the same case are different artefacts.
-        pstats_path = out / f"simulate_{args.mix}_{name}_{sim.backend_name}.pstats"
+        pstats_path = out / f"simulate_{args.mix}_{name}.pstats"
         profiler.dump_stats(pstats_path)
         print(f"profile: {pstats_path}")
     else:
@@ -431,7 +420,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     import os
     from pathlib import Path
 
-    from .config import REPRO_BACKEND_ENV
     from .memo.results import RESULT_CACHE_ENV
     from .workloads.cache import TRACE_CACHE_ENV
 
@@ -441,12 +429,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     # redirect every later campaign's cache.
     saved_env = {
         key: os.environ.get(key)
-        for key in (REPRO_BACKEND_ENV, TRACE_CACHE_ENV, RESULT_CACHE_ENV)
+        for key in (TRACE_CACHE_ENV, RESULT_CACHE_ENV)
     }
-
-    # Same inheritance carries the engine backend to every worker.
-    if args.backend is not None:
-        os.environ[REPRO_BACKEND_ENV] = _check_backend(args.backend)
 
     os.environ.setdefault(TRACE_CACHE_ENV, str(Path(directory) / "trace_cache"))
     # Same idea for completed unit results: default the result cache to
@@ -511,7 +495,6 @@ def _print_comparison_detail(comparison) -> None:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     from .bench import (
-        BackendMismatchError,
         BenchMatrix,
         compare_benches,
         load_bench,
@@ -521,7 +504,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
 
     scale = _resolve_scale(args.scale)
-    backend = _check_backend(args.backend)
 
     if args.explore:
         from .bench.explore import ExploreBenchError, run_explore_bench
@@ -614,15 +596,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         warmup_epochs=args.warmup_epochs,
         seed=args.seed,
         repeats=args.repeats,
-        backend=backend,
     )
-    # A non-default backend gets its own artefact name unless the user
-    # chose one — BENCH_vectorized.json, not a silently-overwritten
-    # BENCH_engine.json.
-    label = args.label
-    if label == "engine" and backend not in (None, "reference"):
-        label = backend
-    document = run_bench(scale, matrix=matrix, label=label, progress=print)
+    document = run_bench(scale, matrix=matrix, label=args.label, progress=print)
     path = write_bench(document, args.out)
     print(f"wrote {path}")
     print(
@@ -632,15 +607,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     if args.baseline is None:
         return 0
-    try:
-        comparison = compare_benches(
-            document,
-            load_bench(args.baseline),
-            threshold=args.threshold,
-            cross_backend=args.cross_backend,
-        )
-    except BackendMismatchError as exc:
-        raise UsageError(str(exc)) from None
+    comparison = compare_benches(
+        document, load_bench(args.baseline), threshold=args.threshold
+    )
     for case in comparison.cases:
         print(f"  {case.policy:10s} {case.mix:6s} {case.ratio:5.2f}x")
     for missing in comparison.missing_cases:
@@ -761,7 +730,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
             confirm=args.confirm,
             objective=args.objective,
             seed=args.seed,
-            backend=_check_backend(args.backend),
         )
         result = run_explore(scale, directory, settings, resume=resume,
                              progress=print)
@@ -809,7 +777,6 @@ def cmd_status(args: argparse.Namespace) -> int:
     )
     print(
         f"campaign {path}: scale={manifest.scale} "
-        f"backend={manifest.backend or 'reference'} "
         f"experiments={','.join(manifest.experiments)}"
     )
     print(f"  tasks: {counts or 'none enumerated yet'}")
@@ -884,11 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup-epochs", type=float, default=10.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--profile", default=None, metavar="DIR",
-                   help="dump a cProfile .pstats of the run into DIR "
-                        "(labelled with the active backend)")
-    p.add_argument("--backend", default=None,
-                   help="engine backend: reference | vectorized "
-                        "(default: env REPRO_BACKEND, then reference)")
+                   help="dump a cProfile .pstats of the run into DIR")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("forecast", help="lifetime forecast for policies")
@@ -936,11 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chaos", default=None, metavar="SPEC",
                    help="inject faults, e.g. p=0.3,kinds=crash,timeout,corrupt")
     p.add_argument("--profile", default=None, metavar="DIR",
-                   help="each worker dumps DIR/<task_id>_<backend>.pstats")
-    p.add_argument("--backend", default=None,
-                   help="engine backend for every worker: reference | "
-                        "vectorized (exported as REPRO_BACKEND; recorded "
-                        "in the campaign manifest)")
+                   help="each worker dumps DIR/<task_id>.pstats")
     p.add_argument("--isolate-tasks", action="store_true",
                    help="fresh worker process per task attempt instead of "
                         "the persistent warm-cache pool")
@@ -988,15 +947,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="BENCH_*.json to diff against; regression exits 1")
     p.add_argument("--threshold", type=float, default=0.10,
                    help="allowed geomean ratio band around 1.0")
-    p.add_argument("--backend", default=None,
-                   help="engine backend to time: reference | vectorized "
-                        "(default: env REPRO_BACKEND, then reference); "
-                        "non-reference backends default the label to the "
-                        "backend name")
-    p.add_argument("--cross-backend", action="store_true",
-                   help="allow --baseline from a different engine backend "
-                        "(refused otherwise: cross-backend ratios measure "
-                        "the backend, not a regression)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
@@ -1078,10 +1028,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rung scoring: performance | lifetime | balanced")
     p.add_argument("--seed", type=int, default=0,
                    help="workload seed of the rung fidelity ladder")
-    p.add_argument("--backend", default=None,
-                   help="engine backend for the confirmation simulations: "
-                        "reference | vectorized (default: env "
-                        "REPRO_BACKEND, then reference)")
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser(

@@ -18,24 +18,10 @@ from typing import Optional, Tuple, Union
 BLOCK_SIZE = 64
 """Cache block size in bytes at every level (Table IV)."""
 
-DEFAULT_ENGINE_BACKEND = "reference"
-"""Engine backend selected when neither flag nor env asks otherwise."""
-
-REPRO_BACKEND_ENV = "REPRO_BACKEND"
-"""Environment variable overriding the default engine backend."""
-
 
 def resolve_backend_name(explicit: Optional[str] = None) -> str:
-    """Resolve the engine-backend name: flag > ``REPRO_BACKEND`` > default.
-
-    Deliberately *not* part of :class:`SystemConfig`: backends are
-    byte-identical by contract (the golden digests pin this), so the
-    choice must never enter memo fingerprints or snapshot keys — it is
-    an execution detail, like the number of worker processes.
-    """
-    if explicit:
-        return explicit
-    return os.environ.get(REPRO_BACKEND_ENV) or DEFAULT_ENGINE_BACKEND
+    """Name of the one simulation engine (read by perfbench's host metadata)."""
+    return "reference"
 
 
 REPRO_EXTERNAL_ENV = "REPRO_EXTERNAL_WORKLOADS"
@@ -48,10 +34,10 @@ def resolve_external_root(
     """Resolve the external-workload root: argument > env > ``None``.
 
     ``None`` means no root is configured — the ``external`` workload
-    family then simply has no targets.  Like the engine backend, the
-    root *location* never enters memo fingerprints; the content-derived
-    target spec hash (:attr:`~repro.workloads.registry.TargetSpec.spec_hash`)
-    is what scopes cached results.
+    family then simply has no targets.  The root *location* never
+    enters memo fingerprints; the content-derived target spec hash
+    (:attr:`~repro.workloads.registry.TargetSpec.spec_hash`) is what
+    scopes cached results.
     """
     if explicit:
         return Path(explicit)

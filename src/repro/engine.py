@@ -16,14 +16,16 @@ what makes the paper's normalised comparisons meaningful.
 from __future__ import annotations
 
 import copy
+import gc
+import heapq
 import logging
+import time
 from dataclasses import dataclass, field, fields
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .cache.hierarchy import MemoryHierarchy
 from .cache.stats import HierarchyStats
 from .config import SystemConfig
-from .engine_backends import make_backend, resolve_backend_name
 from .metrics.registry import register_metric
 from .core.policy import InsertionPolicy
 from .timing.core_model import AnalyticalCore
@@ -237,7 +239,6 @@ class Simulation:
         policy: InsertionPolicy,
         workload: Workload,
         size_fn=None,
-        backend: Optional[str] = None,
     ) -> None:
         if workload.n_cores != config.cores.n_cores:
             raise ValueError(
@@ -264,12 +265,10 @@ class Simulation:
         self._cursors = [0] * workload.n_cores
         self._next_epoch = float(config.dueling.epoch_cycles)
         self._epoch_index = 0
-        # Engine backend: an execution strategy, never a modelling
-        # choice — every backend is byte-identical by contract (see
-        # repro.engine_backends), so the name is deliberately kept out
-        # of memo fingerprints and snapshot keys.
-        self.backend_name = resolve_backend_name(backend)
-        self._backend = make_backend(self.backend_name, self)
+        #: Wall-clock breakdown of the most recent run —
+        #: ``{"total_s", "epoch_bookkeeping_s", "access_path_s",
+        #: "records"}``; read by the bench's per-phase report.
+        self.last_phase_timings: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     def run(
@@ -331,20 +330,151 @@ class Simulation:
     ) -> SimulationResult:
         """Core loop; ``cycles``/``warmup_cycles`` are absolute.
 
-        Delegates to the selected engine backend.  The historical
-        scalar loop lives in
-        :class:`repro.engine_backends.reference.ReferenceBackend`; the
-        numpy batch-replay kernel in
-        :class:`repro.engine_backends.vectorized.VectorizedBackend`.
-        Both are byte-identical by the golden-digest contract, so
-        callers never observe which one ran.
+        Also records :attr:`last_phase_timings` for the bench's
+        per-phase report — telemetry only, it never feeds back into
+        simulation state.
         """
-        return self._backend.run(cycles, warmup_cycles, record_epochs)
+        sim = self
+        hierarchy = sim.hierarchy
+        cores = sim.cores
+        epoch_cycles = sim.config.dueling.epoch_cycles
+        epochs: List[EpochRecord] = []
+        epoch_snap = hierarchy.stats.llc.snapshot()
+        start = min(core.cycles for core in cores)
+        next_epoch = sim._next_epoch
+        epoch_index = sim._epoch_index
+        warmed = warmup_cycles <= start
+        if warmed:
+            hierarchy.reset_stats()
+            epoch_snap = hierarchy.stats.llc.snapshot()
+        base_instr = [core.instructions for core in cores]
+        base_cycles = [core.cycles for core in cores]
 
-    @property
-    def last_phase_timings(self):
-        """Wall-clock phase breakdown of the most recent ``_run``."""
-        return self._backend.last_phase_timings
+        # Cores are interleaved through a min-heap, but advanced in short
+        # bursts: strict per-access global ordering costs a heap
+        # operation per access for no modelling benefit (the mixes share
+        # no data), while bursts keep cores within ~a thousand cycles of
+        # each other — far finer than the 2M-cycle epoch granularity.
+        #
+        # The burst body is the simulator's innermost loop.  It indexes
+        # the trace columns directly and inlines AnalyticalCore.account
+        # (same two float additions, so timing is bit-identical) to
+        # avoid per-record generator resumption and method dispatch.
+        burst = 64
+        access_level = hierarchy.access_level
+        columns = sim._columns
+        cursors = sim._cursors
+        heap = [(core.cycles, core_id) for core_id, core in enumerate(cores)]
+        heapq.heapify(heap)
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        perf = time.perf_counter
+        epoch_s = 0.0
+        records_done = 0
+        t_run = perf()
+        # The loop allocates short-lived acyclic objects (heap tuples,
+        # fill contexts) at a rate that keeps the cyclic GC's gen-0
+        # scanning busy for nothing — refcounting already frees them.
+        # Pause collection for the duration of the loop.
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
+        try:
+            while heap:
+                now, core_id = heappop(heap)
+                if (not warmed and now >= warmup_cycles) or now >= next_epoch:
+                    # Structural boundary bookkeeping — rare, so timing
+                    # it exactly costs one comparison per burst.
+                    t0 = perf()
+                    if not warmed and now >= warmup_cycles:
+                        hierarchy.reset_stats()
+                        epoch_snap = hierarchy.stats.llc.snapshot()
+                        for i, core in enumerate(cores):
+                            base_instr[i] = core.instructions
+                            base_cycles[i] = core.cycles
+                        warmed = True
+                    while now >= next_epoch:
+                        llc_stats = hierarchy.stats.llc
+                        delta = llc_stats.delta_since(epoch_snap)
+                        winner = sim.policy.current_cpth()  # CP_th this epoch
+                        hierarchy.end_epoch()
+                        if record_epochs:
+                            epochs.append(
+                                EpochRecord(
+                                    index=epoch_index,
+                                    end_cycle=next_epoch,
+                                    hits=delta["gets_hits"] + delta["getx_hits"],
+                                    nvm_bytes_written=delta["nvm_bytes_written"],
+                                    winner_cpth=winner,
+                                    after_warmup=warmed and next_epoch > warmup_cycles,
+                                )
+                            )
+                        epoch_snap = llc_stats.snapshot()
+                        epoch_index += 1
+                        next_epoch += epoch_cycles
+                    epoch_s += perf() - t0
+                if now >= cycles:
+                    continue  # this core is done; drain the rest
+                # Burst: stop early at the next epoch/warmup/end boundary
+                # so boundary processing stays accurate.
+                stop_at = min(cycles, next_epoch)
+                if not warmed:
+                    stop_at = min(stop_at, warmup_cycles)
+                core = cores[core_id]
+                gaps, addrs, writes = columns[core_id]
+                n_records = len(addrs)
+                cursor = cursors[core_id]
+                base_cpi = core.base_cpi
+                penalty = core._penalty
+                instructions = core.instructions
+                new_time = core.cycles
+                i = -1
+                for i in range(burst):
+                    gap = gaps[cursor]
+                    addr = addrs[cursor]
+                    is_write = writes[cursor]
+                    cursor += 1
+                    if cursor == n_records:
+                        cursor = 0
+                    level = access_level(core_id, addr, is_write)
+                    instructions += gap + 1
+                    new_time += gap * base_cpi + base_cpi
+                    new_time += penalty[level]
+                    if new_time >= stop_at:
+                        break
+                records_done += i + 1
+                cursors[core_id] = cursor
+                core.instructions = instructions
+                core.cycles = new_time
+                heappush(heap, (new_time, core_id))
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+        total_s = perf() - t_run
+        sim.last_phase_timings = {
+            "total_s": total_s,
+            "epoch_bookkeeping_s": epoch_s,
+            "access_path_s": total_s - epoch_s,
+            "records": records_done,
+        }
+        sim._next_epoch = next_epoch
+        sim._epoch_index = epoch_index
+        ipcs = []
+        for i, core in enumerate(cores):
+            d_instr = core.instructions - base_instr[i]
+            d_cycles = core.cycles - base_cycles[i]
+            ipcs.append(d_instr / d_cycles if d_cycles else 0.0)
+            core.export(hierarchy.stats.core(i))
+
+        measured = cycles - warmup_cycles
+        return SimulationResult(
+            stats=hierarchy.stats,
+            epochs=epochs,
+            cycles=measured,
+            seconds=measured / sim.config.latency.cpu_freq_hz,
+            ipcs=ipcs,
+        )
 
     # ------------------------------------------------------------------
     # snapshot / restore (the memoization subsystem's engine hook)

@@ -181,7 +181,6 @@ def run_one(
     warmup_epochs: float,
     measure_epochs: float,
     capacities=None,
-    backend: Optional[str] = None,
 ):
     """One warm-up-then-measure simulation (shared by the sweeps).
 
@@ -227,7 +226,7 @@ def run_one(
         key = warm_prefix_key(config, policy, workload, warmup, capacities)
         if key is not None:
             entry = store.get(key)
-            sim = Simulation(config, policy, workload, backend=backend)
+            sim = Simulation(config, policy, workload)
             if entry is None:
                 if capacities is not None:
                     sim.hierarchy.llc.faultmap.load_capacities(capacities)
@@ -242,7 +241,7 @@ def run_one(
             result.epochs[:0] = prefix_epochs
 
     if result is None:
-        sim = Simulation(config, policy, workload, backend=backend)
+        sim = Simulation(config, policy, workload)
         if capacities is not None:
             sim.hierarchy.llc.faultmap.load_capacities(capacities)
         result = sim.run(cycles=total, warmup_cycles=warmup)
@@ -257,10 +256,6 @@ def _record_from_sim(sim, result, meta):
     # sim.policy (not the caller's argument) so the snapshot-restored
     # and cold paths observe the same post-run policy state.
     record = result.to_run_record(meta=meta, policy=sim.policy)
-    # Provenance only: the backend is pinned byte-identical by the
-    # golden digests, so it never enters memo fingerprints — but a
-    # record should still say which engine produced it.
-    record.meta["backend"] = sim.backend_name
     record.metrics.update(REGISTRY.collect("nvm", sim.hierarchy.llc.wear))
     controller = getattr(sim.policy, "controller", None)
     if controller is not None:

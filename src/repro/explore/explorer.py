@@ -98,7 +98,6 @@ class ExploreSettings:
     confirm: int = 16
     objective: str = "balanced"
     seed: int = 0
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.eta < 2:
@@ -468,7 +467,6 @@ class Explorer:
                 record = run_one(
                     config, desc.make(config), workload,
                     self.scale.warmup_epochs, self.scale.phase_epochs,
-                    backend=self.settings.backend,
                 )
                 record.meta["point"] = point.key()
                 records.append(record)

@@ -94,7 +94,6 @@ class CampaignManifest:
     scale: str
     experiments: Tuple[str, ...]
     chaos: Optional[dict] = None       # last run's chaos settings (info only)
-    backend: Optional[str] = None      # engine backend workers run under
     #: Workload references the campaign was created over (normalized
     #: ``family:target`` refs replacing the scale preset's mixes).
     #: ``None`` means the scale's default mixes — the pre-registry
@@ -127,21 +126,15 @@ class CampaignManifest:
         scale: str,
         experiments,
         chaos: Optional[ChaosConfig] = None,
-        backend: Optional[str] = None,
         workloads: Optional[Tuple[str, ...]] = None,
     ) -> "CampaignManifest":
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        if backend is None:
-            from ..config import resolve_backend_name
-
-            backend = resolve_backend_name()
         manifest = cls(
             directory=directory,
             scale=scale,
             experiments=tuple(experiments),
             chaos=chaos.to_json() if chaos else None,
-            backend=backend,
             workloads=tuple(workloads) if workloads else None,
         )
         manifest.results_dir.mkdir(exist_ok=True)
@@ -151,7 +144,6 @@ class CampaignManifest:
         meta = {
             "scale": manifest.scale,
             "experiments": list(manifest.experiments),
-            "backend": manifest.backend,
         }
         if manifest.workloads is not None:
             meta["workloads"] = list(manifest.workloads)
@@ -191,7 +183,6 @@ class CampaignManifest:
             scale=data["scale"],
             experiments=tuple(data["experiments"]),
             chaos=data.get("chaos"),
-            backend=data.get("backend"),
             workloads=tuple(workloads) if workloads else None,
             tasks={
                 task_id: TaskEntry.from_json(entry)
@@ -234,7 +225,6 @@ class CampaignManifest:
             directory=directory,
             scale=meta["scale"],
             experiments=tuple(meta["experiments"]),
-            backend=meta.get("backend"),
             workloads=(
                 tuple(recovered_workloads) if recovered_workloads else None
             ),
@@ -267,7 +257,6 @@ class CampaignManifest:
             "scale": self.scale,
             "experiments": list(self.experiments),
             "chaos": self.chaos,
-            "backend": self.backend,
             "tasks": {
                 task_id: entry.to_json()
                 for task_id, entry in sorted(self.tasks.items())

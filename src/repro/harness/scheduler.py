@@ -254,11 +254,6 @@ class CampaignRunner:
             self.manifest.chaos = (
                 self.settings.chaos.to_json() if self.settings.chaos else None
             )
-            # Like chaos, the backend reflects the *current* run: a
-            # campaign resumed under REPRO_BACKEND=vectorized says so.
-            from ..config import resolve_backend_name
-
-            self.manifest.backend = resolve_backend_name()
         else:
             if (self.directory / MANIFEST_NAME).exists():
                 raise CampaignConfigError(
@@ -956,7 +951,6 @@ class CampaignRunner:
         meta = {
             "scale": self.scale_name,
             "experiments": list(self.experiments),
-            "backend": self.manifest.backend,
             "mode": mode,
             "interrupted": report.interrupted,
         }

@@ -137,13 +137,8 @@ def _execute_attempt(payload: dict) -> bool:
     the pipe (pooled).
     """
     try:
-        from ..config import resolve_backend_name
         from ..experiments.campaign_tasks import run_campaign_task
 
-        # Workers select the backend the way every Simulation does —
-        # REPRO_BACKEND (exported by ``campaign --backend``) or the
-        # default — and stamp it on the profile label and the result.
-        backend = resolve_backend_name()
         profile_dir = payload.get("profile_dir")
         if profile_dir:
             import cProfile
@@ -159,7 +154,7 @@ def _execute_attempt(payload: dict) -> bool:
                 out = Path(profile_dir)
                 out.mkdir(parents=True, exist_ok=True)
                 name = payload["task_id"].replace("/", "_")
-                profiler.dump_stats(out / f"{name}_{backend}.pstats")
+                profiler.dump_stats(out / f"{name}.pstats")
         else:
             result = run_campaign_task(
                 payload["experiment"], payload["unit"], payload["scale"]
@@ -172,7 +167,6 @@ def _execute_attempt(payload: dict) -> bool:
                 "experiment": payload["experiment"],
                 "unit": payload["unit"],
                 "scale": payload["scale"],
-                "backend": backend,
                 "result": result,
             },
             schema=RESULT_SCHEMA,

@@ -7,6 +7,7 @@ mode at p=0.3 completes a smoke campaign with zero lost results.
 """
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -16,13 +17,18 @@ from repro.fsio.durable import unwrap_json
 from repro.harness import (
     COMPLETE,
     FAILED,
+    MANIFEST_FORMAT,
+    MANIFEST_NAME,
     PENDING,
+    RESULT_SCHEMA,
     CampaignManifest,
     CampaignSettings,
     ChaosConfig,
     load_result,
     run_campaign,
+    write_json_atomic,
 )
+from repro.harness.manifest import META_FORMAT, META_NAME
 from repro.harness.scheduler import HEALTH_RECORD_NAME
 
 FAST = CampaignSettings(jobs=2, task_timeout=60, retries=2, backoff_base=0.01)
@@ -173,6 +179,42 @@ def test_resume_reruns_corrupted_result(tmp_path, reference_campaign):
     assert resumed.completed == 1, "only the corrupt task re-runs"
     assert resumed.skipped == 4
     assert result_bytes(directory) == result_bytes(reference_campaign)
+
+
+def test_resume_accepts_campaigns_stamped_with_a_backend(
+    tmp_path, reference_campaign
+):
+    """Older campaigns carry a ``backend`` key in campaign.json,
+    campaign.meta.json and every result payload.  Both resume paths
+    must ignore it: an intact manifest skips the verified tasks, and
+    recovery from the meta file verifies every result."""
+    directory = tmp_path / "stamped"
+    shutil.copytree(reference_campaign, directory)
+
+    def stamp(path, schema, document):
+        return write_json_atomic(
+            path, {**document, "backend": "reference"}, schema=schema
+        )
+
+    manifest_path = directory / MANIFEST_NAME
+    manifest = unwrap_json(json.loads(manifest_path.read_text()))
+    for entry in manifest["tasks"].values():
+        path = directory / entry["result"]
+        entry["sha256"] = stamp(path, RESULT_SCHEMA, load_result(path))
+    stamp(manifest_path, MANIFEST_FORMAT, manifest)
+    meta_path = directory / META_NAME
+    stamp(meta_path, META_FORMAT, unwrap_json(json.loads(meta_path.read_text())))
+
+    victim = sorted((directory / "results").glob("*.json"))[0]
+    victim.unlink()
+    resumed = run_campaign(directory, resume=True, settings=FAST)
+    assert resumed.ok
+    assert resumed.skipped == 4 and resumed.completed == 1
+
+    manifest_path.write_bytes(b"not a manifest")
+    recovered = run_campaign(directory, resume=True, settings=FAST)
+    assert recovered.ok
+    assert recovered.skipped == 5 and recovered.completed == 0
 
 
 def test_worker_exception_is_captured_in_failure_report(tmp_path):

@@ -11,6 +11,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.golden import (
     GOLDEN_EPOCHS,
@@ -71,6 +73,54 @@ def test_snapshot_restore_matches_golden_digest(policy_name):
     # The snapshot must survive being restored twice (the store serves
     # many units from one entry) — a restore must not consume it.
     assert simulation_digest(measured_from(snap)) == GOLDENS[policy_name]
+
+
+@given(
+    policy_name=st.sampled_from(
+        ["bh", "bh_cp", "lhybrid", "tap", "ca", "ca_rwr", "cp_sd"]
+    ),
+    seed=st.integers(0, 2**16),
+    records=st.integers(500, 3000),
+    warmup_epochs=st.floats(0.0, 1.0),
+    measure_epochs=st.floats(0.25, 2.0),
+)
+@settings(max_examples=12, deadline=None)
+def test_split_run_matches_one_shot_on_random_windows(
+    policy_name, seed, records, warmup_epochs, measure_epochs
+):
+    """Random (policy, seed, window): split run == one-shot run.
+
+    Fractional epoch counts land the warmup boundary, and so the
+    snapshot, in the middle of bursts and epochs.  The full RunRecord
+    payload and the trace cursors must still agree bit-for-bit — the
+    exactness ``run_one``'s snapshot store relies on.
+    """
+    config = SMOKE.system()
+    epoch = config.dueling.epoch_cycles
+    warmup = epoch * warmup_epochs
+    total = epoch * (warmup_epochs + measure_epochs)
+
+    def fresh():
+        profiles = [p.scaled(1 / 32) for p in mix_profiles("mix1")]
+        workload = Workload(profiles, seed=seed, trace_records_per_core=records)
+        return Simulation(config, make_policy(policy_name), workload)
+
+    def outcome(sim, result):
+        record = result.to_run_record(
+            meta={"policy": policy_name}, policy=sim.policy
+        )
+        return record.to_json(), sim._cursors
+
+    warm = fresh()
+    prefix = warm.run_until(warmup, warmup_until=warmup)
+    split = fresh()
+    split.restore(warm.snapshot())
+    split_result = split.run_until(total, warmup_until=warmup)
+    split_result.epochs[:0] = prefix.epochs
+
+    one_shot = fresh()
+    one_shot_result = one_shot.run_until(total, warmup_until=warmup)
+    assert outcome(split, split_result) == outcome(one_shot, one_shot_result)
 
 
 def test_restore_rejects_core_count_mismatch():
