@@ -42,8 +42,21 @@ TMP_ROOT="$(mktemp -d)"
 trap 'rm -rf "$TMP_ROOT"' EXIT
 
 if [[ "$RUN_TESTS" == 1 ]]; then
-  echo "== ci: tier-1 test suite =="
-  python -m pytest -x -q
+  echo "== ci: tier-1 test suite + perfbench self-tests =="
+  python -m pytest -x -q tests perfbench
+
+  echo "== ci: forecast digests (one perfbench lifetime pass) =="
+  # run.py exits non-zero unless all five Fig. 10a forecast digests
+  # match perfbench/references.json and the engine's golden digests
+  # match tests/goldens/determinism.json; this pins the forecast
+  # outputs (aging, fault-map re-entry), which the tier-1 goldens do
+  # not cover.  It runs from a copy of the files it reads so that its
+  # detail file lands under $TMP_ROOT, not in the working tree.
+  mkdir -p "$TMP_ROOT/perfbench/tests"
+  cp -r src perfbench "$TMP_ROOT/perfbench/"
+  cp -r tests/goldens "$TMP_ROOT/perfbench/tests/"
+  python3 "$TMP_ROOT/perfbench/perfbench/run.py" \
+    --workload lifetime --seed 0 --seconds 1
 fi
 
 if [[ "$RUN_SCHEMA" == 1 ]]; then

@@ -6,12 +6,18 @@ receives the same long-run write rate, so a frame's aging state
 collapses to a single scalar: the wear ``w`` accumulated by each of
 its live bytes.  A byte whose sampled endurance falls below ``w`` is
 dead; since only the order statistics of the endurance draws matter,
-each frame's endurance vector is kept sorted ascending.
+each frame's endurance vector is kept sorted ascending, and its dead
+bytes are ``sum(endurance[f] <= wear[f])``.
 
 Byte-disabling advances ``w`` piecewise: writing ``B`` bytes to a
 frame with ``n`` live bytes adds ``B/n`` wear to each, and as bytes
-die the survivors absorb proportionally more wear — the loop below
-resolves those death boundaries exactly.
+die the survivors absorb proportionally more wear.  The loop below
+resolves those death boundaries exactly.  It counts every frame's
+dead bytes once, then keeps that count as a cursor into the sorted
+endurances (``endurance[f, dead]`` is the next byte to die),
+moving it as bytes die and dropping frames whose budget is spent, so
+an iteration touches one endurance value per frame still absorbing
+writes rather than the whole array.
 
 Frame-disabling (BH, LHybrid, TAP) writes whole frames: wear counts
 writes, and the frame dies when its weakest byte gives out.
@@ -97,35 +103,33 @@ class AgingModel:
         self._advance_bytes(totals)
 
     def _advance_bytes(self, total_bytes: np.ndarray) -> None:
-        wear = self.wear
         endurance = self.endurance
         block_size = self.block_size
-        budget = total_bytes.astype(np.float64).copy()
-        frame_ids = np.arange(self.n_frames)
+        # Work on the frames that hold budget and a live byte (dead
+        # frames absorb nothing), dropping each once its budget is spent;
+        # ``dead`` counts a frame's dead bytes and indexes its next death.
+        deaths = np.sum(endurance <= self.wear[:, None], axis=1)
+        frames = np.flatnonzero((total_bytes > 0) & (deaths < block_size))
+        budget = total_bytes[frames]
+        dead = deaths[frames]
+        wear = self.wear[frames]
         for _ in range(block_size + 1):
-            active = budget > 0
-            if not active.any():
+            if not frames.size:
                 break
-            deaths = np.sum(endurance <= wear[:, None], axis=1)
-            live = block_size - deaths
-            budget[live == 0] = 0.0  # fully dead frames absorb nothing
-            active = budget > 0
-            if not active.any():
-                break
-            # dead frames are inactive (budget zeroed above); give them
-            # next_e == wear so the vector arithmetic stays finite
-            next_e = np.where(
-                live > 0,
-                endurance[frame_ids, np.minimum(deaths, block_size - 1)],
-                wear,
-            )
+            live = block_size - dead
+            next_e = endurance[frames, dead]
             to_next_death = (next_e - wear) * live
-            finishes = active & (budget < to_next_death)
-            wear[finishes] += budget[finishes] / live[finishes]
-            budget[finishes] = 0.0
-            steps = active & ~finishes
-            wear[steps] = next_e[steps]
-            budget[steps] -= to_next_death[steps]
+            finishes = budget < to_next_death
+            wear = np.where(finishes, wear + budget / live, next_e)
+            self.wear[frames] = wear
+            # A step kills byte ``dead`` (a byte tied with it dies on the
+            # next iteration, in a zero-length step): every iteration
+            # kills a byte or finishes the frame, so the bound suffices.
+            dead = dead + ~finishes
+            budget -= to_next_death
+            keep = ~finishes & (budget > 0) & (dead < block_size)
+            frames, budget = frames[keep], budget[keep]
+            dead, wear = dead[keep], wear[keep]
 
     # ------------------------------------------------------------------
     def time_to_capacity(
@@ -138,26 +142,26 @@ class AgingModel:
         """Seconds (at constant ``rates``) until capacity <= target.
 
         Returns None if the target is not reached within ``max_seconds``
-        (e.g. a policy that barely writes the NVM part).  Uses an
-        exponential bracket plus bisection over cloned wear state.
+        (e.g. a policy that barely writes the NVM part), so a returned
+        time never exceeds ``max_seconds``.  Uses an exponential bracket
+        from ``min(3600, max_seconds)`` plus bisection; every probe ages
+        a clone of the wear state.
         """
         if self.effective_capacity() <= target_fraction:
             return 0.0
+        if max_seconds <= 0:
+            return None
 
         def capacity_after(dt: float) -> float:
             probe = self.clone()
             probe.advance(rates, dt)
             return probe.effective_capacity()
 
-        lo, hi = 0.0, 3600.0
+        lo, hi = 0.0, min(3600.0, max_seconds)
         while capacity_after(hi) > target_fraction:
-            lo = hi
-            hi *= 4.0
-            if hi > max_seconds:
-                if capacity_after(max_seconds) > target_fraction:
-                    return None
-                hi = max_seconds
-                break
+            if hi >= max_seconds:
+                return None
+            lo, hi = hi, min(4.0 * hi, max_seconds)
         while hi - lo > tolerance * hi:
             mid = 0.5 * (lo + hi)
             if capacity_after(mid) > target_fraction:

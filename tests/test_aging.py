@@ -147,3 +147,30 @@ def test_capacity_bounded(rate, steps):
         m.advance(rates, dt_seconds=50.0)
         assert 0.0 <= m.effective_capacity() <= 1.0
         assert (m.live_counts() >= 0).all()
+
+
+@pytest.mark.parametrize("horizon", [10.0, 47.0])
+def test_time_to_capacity_never_exceeds_a_short_horizon(horizon):
+    """A horizon shorter than an hour is not overshot: the target is
+    out of reach within it, so the answer is None."""
+    m = model()
+    rates = np.full((4, 2), 1000.0)
+    probe = m.clone()
+    probe.advance(rates, horizon)
+    assert probe.effective_capacity() > 0.9
+    assert m.time_to_capacity(rates, 0.9, max_seconds=horizon) is None
+
+
+def test_time_to_capacity_zero_horizon():
+    m = model()
+    assert m.time_to_capacity(np.full((4, 2), 1000.0), 0.9, max_seconds=0.0) is None
+
+
+def test_time_to_capacity_within_a_short_horizon():
+    m = model()
+    rates = np.full((4, 2), 1000.0)
+    dt = m.time_to_capacity(rates, 0.9, max_seconds=100.0)
+    assert dt is not None and 0.0 < dt <= 100.0
+    probe = m.clone()
+    probe.advance(rates, dt)
+    assert probe.effective_capacity() <= 0.9
