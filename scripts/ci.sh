@@ -145,15 +145,13 @@ fi
 
 if [[ "$RUN_WORKLOADS" == 1 ]]; then
   echo "== ci: workload registry completeness + golden byte-identity =="
-  # Three gates.  (1) Registry byte-identity: the golden window built
+  # Two gates.  (1) Registry byte-identity: the golden window built
   # *through the registry* must reproduce the committed pre-registry
   # digests — the proof that the synthetic family is the old
   # construction, not a re-implementation of it.
   # (2) Registry completeness: every registered family's first target
   # must describe itself, build at a tiny scale, and run one short
   # simulation to a schema-valid RunRecord stamped with its family.
-  # (3) External round trip: the committed interchange fixture imports
-  # and simulates through the same path users take.
   python - <<'PY'
 import json, sys
 from repro.bench.golden import compute_golden_digests
@@ -168,7 +166,7 @@ if failures:
     sys.exit(1)
 print(f"registry: {len(computed)} golden digests match")
 PY
-  REPRO_EXTERNAL_WORKLOADS="$TMP_ROOT/external" python - <<'PY'
+  python - <<'PY'
 from dataclasses import replace
 
 from repro.core import make_policy
@@ -176,10 +174,7 @@ from repro.engine import Simulation
 from repro.experiments.common import SMOKE
 from repro.manifest import describe_workload
 from repro.metrics import RunRecord
-from repro.workloads.external import import_trace
 from repro.workloads.registry import build_workload, family_names, get_family
-
-import_trace("tests/fixtures/external_fixture.csv", "ci_fixture", cores=4)
 
 tiny = replace(SMOKE, trace_records_per_core=3_000)
 config = tiny.system()
@@ -207,21 +202,19 @@ for name in family_names():
     print(f"family {name}: {spec.ref} built, simulated, "
           f"RunRecord family stamp ok")
 PY
-  # ... and the CLI surface end to end: import -> list -> simulate ->
-  # campaign (one unit) -> export, all over the committed fixture.
-  export REPRO_EXTERNAL_WORKLOADS="$TMP_ROOT/external"
-  python -m repro workloads --family external | grep -q "external:ci_fixture"
+  # ... and the CLI surface end to end for a non-default family:
+  # list -> simulate -> campaign (one experiment) -> export.
+  python -m repro workloads --family datacenter | grep -q "datacenter:kv_read"
   python -m repro --scale smoke simulate \
-    --mix external:ci_fixture --policy bh --epochs 1 --warmup-epochs 0.5
+    --mix datacenter:kv_read --policy bh --epochs 1 --warmup-epochs 0.5
   python -m repro --scale smoke campaign \
     --out "$TMP_ROOT/workloads_campaign" \
     --experiments fig6 \
-    --workloads external:ci_fixture,datacenter:kv_read \
+    --workloads datacenter:kv_read \
     --jobs 2 \
     --timeout 300
   python -m repro export --format jsonl "$TMP_ROOT/workloads_campaign" \
-    | grep -Eq '"workload_family": ?"external"'
-  unset REPRO_EXTERNAL_WORKLOADS
+    | grep -Eq '"workload_family": ?"datacenter"'
 fi
 
 echo "== ci: OK =="

@@ -3,8 +3,7 @@
 Commands
 --------
 ``list``      — registered policies, mixes, applications, scales
-``workloads`` — workload families/targets with metadata, or
-                ``--import`` an external trace as a new target
+``workloads`` — workload families/targets with metadata
 ``simulate``  — run one mix under one policy, print the statistics
 ``forecast``  — lifetime forecast for one or more policies on a mix
 ``figure``    — regenerate one of the paper's tables/figures
@@ -175,37 +174,6 @@ def cmd_list(args: argparse.Namespace) -> int:
 def cmd_workloads(args: argparse.Namespace) -> int:
     from .workloads.registry import family_names, get_family
 
-    if args.import_source:
-        from .workloads.external import import_trace
-        from .workloads.traceio import TraceFormatError
-
-        if not args.name:
-            raise UsageError("--import needs --name NAME for the new target")
-        try:
-            target_dir = import_trace(
-                args.import_source,
-                args.name,
-                root=args.root,
-                cores=args.cores,
-                hcr=args.hcr,
-                lcr=args.lcr,
-                addr_kind=args.addr_kind,
-                seed=args.seed,
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        except (OSError, TraceFormatError) as exc:
-            print(f"repro: import failed: {exc}", file=sys.stderr)
-            return 1
-        spec = get_family("external").target_spec(args.name)
-        print(f"imported external:{args.name} -> {target_dir}")
-        print(
-            f"  cores={spec.cores}  footprint={spec.footprint_blocks} blocks"
-            f"  hcr={spec.hcr_fraction:.2f} lcr={spec.lcr_fraction:.2f}"
-        )
-        print(f"  run with: repro simulate --mix external:{args.name}")
-        return 0
-
     names = family_names()
     if args.family:
         _check_choice("family", args.family, names)
@@ -213,10 +181,8 @@ def cmd_workloads(args: argparse.Namespace) -> int:
     rows = []
     for family_name in names:
         family = get_family(family_name)
-        targets = family.targets()
-        note = "" if targets else "  (none imported; see workloads --import)"
-        print(f"{family_name}: {family.description}{note}")
-        for target in targets:
+        print(f"{family_name}: {family.description}")
+        for target in family.targets():
             spec = family.target_spec(target)
             rows.append(
                 {
@@ -226,13 +192,11 @@ def cmd_workloads(args: argparse.Namespace) -> int:
                     "hcr": f"{spec.hcr_fraction:.2f}",
                     "lcr": f"{spec.lcr_fraction:.2f}",
                     "incomp": f"{spec.incompressible_fraction:.2f}",
-                    "scaling": "scalable" if spec.scalable else "fixed",
                     "description": spec.description,
                 }
             )
-    if rows:
-        print()
-        print(format_records(rows, "workload targets"))
+    print()
+    print(format_records(rows, "workload targets"))
     return 0
 
 
@@ -814,31 +778,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "workloads",
-        help="list workload families/targets with metadata, or --import "
-             "an external trace as a new target",
+        help="list workload families/targets with metadata",
     )
     p.add_argument("--family", default=None,
                    help="only list this family's targets")
-    p.add_argument("--import", dest="import_source", default=None,
-                   metavar="CSV",
-                   help="import an interchange CSV (core,gap,addr,is_write "
-                        "per line) as an external target")
-    p.add_argument("--name", default=None,
-                   help="target name the import registers (--import)")
-    p.add_argument("--root", default=None, metavar="DIR",
-                   help="external workload root (default: env "
-                        "REPRO_EXTERNAL_WORKLOADS)")
-    p.add_argument("--cores", type=int, default=4,
-                   help="core count declared by the imported trace")
-    p.add_argument("--hcr", type=float, default=0.5,
-                   help="declared fraction of highly-compressible blocks")
-    p.add_argument("--lcr", type=float, default=0.28,
-                   help="declared fraction of lightly-compressible blocks")
-    p.add_argument("--addr-kind", default="block", choices=("block", "byte"),
-                   help="address column unit of the CSV (byte addresses "
-                        "are shifted to 64B blocks on import)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="size-draw seed recorded in the target identity")
     p.set_defaults(func=cmd_workloads)
 
     p = sub.add_parser("simulate", help="run one mix under one policy")

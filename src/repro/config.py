@@ -10,10 +10,8 @@ changes (way split, L2 size, NVM latency, endurance variability, ...).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 BLOCK_SIZE = 64
 """Cache block size in bytes at every level (Table IV)."""
@@ -22,27 +20,6 @@ BLOCK_SIZE = 64
 def resolve_backend_name(explicit: Optional[str] = None) -> str:
     """Name of the one simulation engine (read by perfbench's host metadata)."""
     return "reference"
-
-
-REPRO_EXTERNAL_ENV = "REPRO_EXTERNAL_WORKLOADS"
-"""Environment variable naming the external workload root directory."""
-
-
-def resolve_external_root(
-    explicit: Optional[Union[str, Path]] = None,
-) -> Optional[Path]:
-    """Resolve the external-workload root: argument > env > ``None``.
-
-    ``None`` means no root is configured — the ``external`` workload
-    family then simply has no targets.  The root *location* never
-    enters memo fingerprints; the content-derived target spec hash
-    (:attr:`~repro.workloads.registry.TargetSpec.spec_hash`) is what
-    scopes cached results.
-    """
-    if explicit:
-        return Path(explicit)
-    value = os.environ.get(REPRO_EXTERNAL_ENV, "").strip()
-    return Path(value) if value else None
 
 
 def _check_power_of_two(value: int, name: str) -> None:

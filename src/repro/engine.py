@@ -36,7 +36,6 @@ from .workloads.cache import (
     save_sizes_sidecar,
 )
 from .workloads.data import DataModel
-from .workloads.mixes import mix_profiles
 from .workloads.profiles import AppProfile
 from .workloads.trace import MaterializedTrace
 
@@ -109,51 +108,6 @@ class Workload:
                     self.data_model.sizes_for(set(trace.addrs)),
                     family=family,
                 )
-
-    @classmethod
-    def from_mix(
-        cls, mix_name: str, seed: int = 0, trace_records_per_core: int = 150_000
-    ) -> "Workload":
-        return cls(mix_profiles(mix_name), seed=seed,
-                   trace_records_per_core=trace_records_per_core)
-
-    @classmethod
-    def from_traces(
-        cls,
-        profiles: Sequence[AppProfile],
-        traces: Sequence[MaterializedTrace],
-        seed: int = 0,
-        sizes_per_core: Optional[Sequence] = None,
-        family: str = "external",
-        target: Optional[str] = None,
-    ) -> "Workload":
-        """A workload over already-materialized traces.
-
-        The ingestion path of the ``external`` workload family: the
-        traces were imported (not generated), so the synthetic
-        generator and its disk cache are bypassed entirely.
-        ``sizes_per_core`` optionally supplies each core's persisted
-        ``addr -> (csize, ecb)`` table (``None`` entries are redrawn
-        from the data model, which is deterministic for the import
-        seed, so a missing table changes nothing but build time).
-        """
-        if len(profiles) != len(traces):
-            raise ValueError("one profile per trace required")
-        workload = cls.__new__(cls)
-        workload.profiles = list(profiles)
-        workload.seed = seed
-        workload.family = family
-        workload.target = target
-        workload.sidecar_redraws = 0
-        workload.data_model = DataModel(workload.profiles, seed=seed)
-        workload.traces = list(traces)
-        for core, trace in enumerate(workload.traces):
-            sizes = sizes_per_core[core] if sizes_per_core else None
-            if sizes is not None:
-                workload.data_model.preload_sizes(sizes)
-            else:
-                workload.data_model.prefetch_sizes(trace.addrs)
-        return workload
 
     @property
     def n_cores(self) -> int:

@@ -103,8 +103,8 @@ class ExperimentScale:
 
         ``mix_name`` is a workload reference — a bare Table V mix name
         (``"mix1"``) or any registered ``family:target``
-        (``"datacenter:kv_read"``, ``"external:masstree"``, …).  The
-        registry routes synthetic families through the process-wide
+        (``"datacenter:kv_read"``).  The registry routes every family
+        through the process-wide
         :class:`~repro.workloads.cache.WorkloadCache`: sweeps that
         revisit the same (target, seed, scale) share one built
         workload instead of regenerating identical traces per policy.

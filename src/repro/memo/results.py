@@ -75,8 +75,8 @@ def result_cache_key(
     unit's reference): ``None`` for synthetic-family units — whose
     keys must stay byte-compatible with the pre-registry key space —
     and a ``{family, target, spec_hash}`` dict otherwise, so cached
-    results never cross families and a re-imported external target
-    (new spec hash) sheds its stale entries.
+    results never cross families and a target whose spec changes (new
+    spec hash) sheds its stale entries.
     """
     inputs: Dict[str, Any] = {
         "fingerprint": (

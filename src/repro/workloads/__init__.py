@@ -1,13 +1,12 @@
-"""Workloads: a registry of families (synthetic, scenario, external).
+"""Workloads: a registry of workload families and their targets.
 
 The registry (:mod:`repro.workloads.registry`) is the front door:
 families are looked up by name, targets by ``family:target``
 references, and :func:`build_workload` turns a reference into a
 ready-to-simulate :class:`~repro.engine.Workload`.  Registered
-families: ``synthetic`` (the paper's Table V mixes), ``datacenter`` /
-``phase`` / ``adversarial`` (scenario families,
-:mod:`repro.workloads.families`), and ``external`` (imported traces,
-:mod:`repro.workloads.external`).  The synthetic family's profile
+families: ``synthetic`` (the paper's Table V mixes) and
+``datacenter`` (key-value/scan service mixes,
+:mod:`repro.workloads.families`).  The synthetic family's profile
 library, mixes and profile builders live in their own submodules
 (:mod:`.profiles`, :mod:`.mixes`, :mod:`.synthetic`).
 """
@@ -16,7 +15,6 @@ from .data import DataModel
 from .generator import AppTraceGenerator
 from .registry import (
     DEFAULT_FAMILY,
-    SyntheticProfileFamily,
     TargetSpec,
     WorkloadFamily,
     WorkloadRefError,
@@ -35,9 +33,7 @@ from .traceio import (
     TraceFormatError,
     file_sha256,
     load_trace,
-    load_trace_csv,
     save_trace,
-    save_trace_csv,
     validate_trace,
 )
 
@@ -47,7 +43,6 @@ __all__ = [
     "DEFAULT_FAMILY",
     "DataModel",
     "MaterializedTrace",
-    "SyntheticProfileFamily",
     "TargetSpec",
     "TraceFormatError",
     "TraceRecord",
@@ -58,14 +53,12 @@ __all__ = [
     "file_sha256",
     "get_family",
     "load_trace",
-    "load_trace_csv",
     "materialize",
     "normalize_workload_ref",
     "parse_workload_ref",
     "register_family",
     "resolve_workload_ref",
     "save_trace",
-    "save_trace_csv",
     "validate_trace",
     "workload_ref_fingerprint",
     "workload_refs",

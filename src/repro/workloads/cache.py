@@ -211,11 +211,10 @@ def write_sizes_file(
 ) -> str:
     """Serialise an ``addr -> (csize, ecb)`` table to ``path``.
 
-    The checksummed envelope + REPROSZC layout used by cache sidecars,
-    exposed for callers that place size files themselves (the external
-    trace importer).  Entries are written sorted by address so
-    identical tables serialise to identical bytes; returns the hex
-    SHA-256 of the written file.
+    The checksummed envelope + REPROSZC layout of a cache sidecar,
+    which :func:`load_sizes_sidecar` parses back.  Entries are written
+    sorted by address so identical tables serialise to identical
+    bytes; returns the hex SHA-256 of the written file.
     """
     pack = _SIZES_RECORD.pack
     inner = _SIZES_HEADER.pack(
@@ -225,18 +224,6 @@ def write_sizes_file(
         for addr, (csize, ecb) in sorted(entries.items())
     )
     return atomic_write_bytes(path, wrap_bytes(inner, SIDECAR_SCHEMA))
-
-
-def read_sizes_file(path: Path) -> Dict[int, Tuple[int, int]]:
-    """Parse a size table written by :func:`write_sizes_file`.
-
-    Raises :class:`FileNotFoundError` when missing and
-    :class:`SidecarError` on any validation failure — quarantining is
-    the *caller's* policy (cache sidecars quarantine into the cache
-    root, external targets into the target directory).
-    """
-    blob = read_bytes(path)
-    return _parse_sidecar(path, blob)
 
 
 def save_sizes_sidecar(

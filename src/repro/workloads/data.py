@@ -90,19 +90,11 @@ class DataModel:
         self._hot_cdf: List[Cdf] = []
         self._cold_cdf: List[Cdf] = []
         self._hot_bound: List[int] = []
-        self._flip_slot: List[int] = []
         for prof in self.profiles:
             c_hot, c_cold = _split_compressibility(prof)
             self._hot_cdf.append(_build_cdf(prof, c_hot))
             self._cold_cdf.append(_build_cdf(prof, c_cold))
             self._hot_bound.append(prof.hot_region_blocks)
-            # comp_flip: odd phase slots of the hot region are forced
-            # incompressible, so phase rotation flips the hot set's
-            # compressibility (adversarial CP set-dueling stress).
-            self._flip_slot.append(
-                prof.hot_region_blocks // prof.n_phases
-                if prof.comp_flip else 0
-            )
 
     # ------------------------------------------------------------------
     def core_of(self, addr: int) -> int:
@@ -112,11 +104,7 @@ class DataModel:
         core = addr >> CORE_ADDR_SHIFT
         if core >= len(self.profiles):
             raise ValueError(f"address {addr:#x} belongs to unknown core {core}")
-        offset = addr & _ADDR_MASK
-        if offset < self._hot_bound[core]:
-            slot = self._flip_slot[core]
-            if slot and (offset // slot) & 1:
-                return BLOCK_SIZE
+        if (addr & _ADDR_MASK) < self._hot_bound[core]:
             cum, sizes = self._hot_cdf[core]
         else:
             cum, sizes = self._cold_cdf[core]

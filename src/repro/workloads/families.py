@@ -1,23 +1,12 @@
-"""Scenario families beyond the paper's evaluation.
+"""The ``datacenter`` scenario family: key-value/scan service mixes.
 
-Three registered synthetic families stress mechanisms the Table V
-mixes were never calibrated to exercise:
-
-* ``datacenter`` — key-value/scan service mixes: point-lookup storms
-  over large pools, write-heavy ingest with compressible log streams,
-  and columnar scan analytics.  These are the workload shapes the
-  ROADMAP's competitor policies (MAC, Mittal's SRAM-NVM management)
-  are designed around.
-* ``phase`` — phase-changing workloads: the Table V profiles rotate
-  regions every ~150k accesses; these targets push phase churn to
-  both extremes (slow drift, rapid flips, bursty half-steady mixes)
-  so convergence-dependent policies keep paying insertion costs.
-* ``adversarial`` — worst-case scenarios for the CP family: working
-  sets sized just past the LLC (thrash), hot regions whose
-  compressibility *flips* with every phase slot
-  (:attr:`~repro.workloads.profiles.AppProfile.comp_flip` — CP set
-  dueling must keep re-electing CP_th), and maximally disagreeing
-  compressible/incompressible core pairs (duel stress).
+The Table V mixes are the paper's evaluation; this family adds the
+workload shapes the paper's mixes were never calibrated to exercise —
+point-lookup storms over large pools, write-heavy ingest with
+compressible log streams, and columnar scan analytics.  These are the
+shapes the competitor policies (MAC, Mittal's SRAM-NVM management) are
+designed around, and ``kv_write`` is the write-side workload of the
+repo benchmark.
 
 All targets are 4-core (the Table IV system), expressed at paper
 scale, and respond to :meth:`AppProfile.scaled` like the SPEC
@@ -26,35 +15,16 @@ profiles, so every campaign scale preset applies unchanged.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Dict, List, Tuple
 
 from .profiles import AppProfile, make_comp_weights
-from .registry import SyntheticProfileFamily, register_family
+from .registry import WorkloadFamily, register_family
 from .synthetic import _base
 
 #: (description, per-core profile builders) per target, evaluated
 #: lazily so import stays cheap.
 _TargetTable = Dict[str, Tuple[str, Callable[[], List[AppProfile]]]]
 
-
-class _TableFamily(SyntheticProfileFamily):
-    """A profile family defined by a static target table."""
-
-    _TARGETS: _TargetTable = {}
-
-    def targets(self) -> Tuple[str, ...]:
-        return tuple(self._TARGETS)
-
-    def _profiles(self, target: str) -> List[AppProfile]:
-        return self._TARGETS[target][1]()
-
-    def _target_description(self, target: str) -> str:
-        return self._TARGETS[target][0]
-
-
-# ----------------------------------------------------------------------
-# datacenter: key-value / scan service mixes
 
 #: Small-value KV payloads: short strings and counters compress well,
 #: but serialisation headers keep a fat low-ratio tail.
@@ -117,7 +87,7 @@ def _scan_core(i: int) -> AppProfile:
     )
 
 
-class DatacenterFamily(_TableFamily):
+class DatacenterFamily(WorkloadFamily):
     name = "datacenter"
     description = (
         "key-value/scan service mixes: lookup storms, write-heavy "
@@ -143,137 +113,14 @@ class DatacenterFamily(_TableFamily):
         ),
     }
 
+    def targets(self) -> Tuple[str, ...]:
+        return tuple(self._TARGETS)
 
-# ----------------------------------------------------------------------
-# phase: phase-change intensity sweeps
+    def _profiles(self, target: str) -> List[AppProfile]:
+        return self._TARGETS[target][1]()
 
-def _phased(name: str, n_phases: int, phase_accesses: int,
-            stream: float = 0.2) -> AppProfile:
-    """A balanced loop/scan/rw core whose regions rotate per phase."""
-    prof = _base(
-        name,
-        loop=0.35,
-        scan=0.25,
-        rw=0.20,
-        stream=stream,
-        rnd=1.0 - (0.35 + 0.25 + 0.20 + stream),
-        loop_blocks=6 * 1024,
-        scan_blocks=10 * 1024,
-        rw_blocks=2 * 1024,
-        rnd_blocks=24 * 1024,
-        gap=14.0,
-        n_phases=n_phases,
-    )
-    return replace(prof, phase_accesses=phase_accesses)
-
-
-class PhaseFamily(_TableFamily):
-    name = "phase"
-    description = (
-        "phase-changing workloads: region populations churn at "
-        "controlled rates to stress policy re-convergence"
-    )
-    _TARGETS: _TargetTable = {
-        "gradual": (
-            "6 phases drifting slowly (100k accesses per phase)",
-            lambda: [_phased(f"phase_gradual{i}", 6, 100_000)
-                     for i in range(4)],
-        ),
-        "abrupt": (
-            "8 phases flipping rapidly (25k accesses per phase)",
-            lambda: [_phased(f"phase_abrupt{i}", 8, 25_000)
-                     for i in range(4)],
-        ),
-        "burst": (
-            "2 steady cores co-scheduled with 2 fast-phasing cores",
-            lambda: [_phased("phase_steady0", 1, 150_000),
-                     _phased("phase_steady1", 1, 150_000),
-                     _phased("phase_burst0", 10, 20_000),
-                     _phased("phase_burst1", 10, 20_000)],
-        ),
-    }
-
-
-# ----------------------------------------------------------------------
-# adversarial: CP set-dueling stress scenarios
-
-#: Paper-scale LLC capacity in blocks (8192 sets x 16 ways); thrash
-#: targets size their aggregate working set just past it.
-_LLC_BLOCKS = 8192 * 16
-
-
-def _thrash_core(i: int) -> AppProfile:
-    """A cyclic sweep sized so four of them just overflow the LLC."""
-    scan_blocks = _LLC_BLOCKS // 4 + (2 + i) * 1024
-    return _base(
-        f"adv_thrash{i}",
-        scan=0.9,
-        stream=0.1,
-        scan_blocks=scan_blocks,
-        footprint=2 * scan_blocks,
-        gap=9.0,
-    )
-
-
-def _flip_core(i: int) -> AppProfile:
-    """A hot set whose compressibility flips with every phase slot."""
-    prof = _base(
-        f"adv_flip{i}",
-        loop=0.45,
-        rw=0.25,
-        stream=0.20,
-        rnd=0.10,
-        loop_blocks=6 * 1024,
-        rw_blocks=3 * 1024,
-        rnd_blocks=16 * 1024,
-        gap=11.0,
-        comp=make_comp_weights(0.85, 0.10),
-        n_phases=4,
-    )
-    return replace(prof, phase_accesses=40_000, comp_flip=True)
-
-
-def _duel_core(i: int, compressible: bool) -> AppProfile:
-    comp = make_comp_weights(0.9, 0.08) if compressible else \
-        make_comp_weights(0.0, 0.0)
-    kind = "hcr" if compressible else "inc"
-    return _base(
-        f"adv_duel_{kind}{i}",
-        loop=0.3,
-        scan=0.3,
-        rw=0.2,
-        stream=0.2,
-        loop_blocks=5 * 1024,
-        scan_blocks=12 * 1024,
-        rw_blocks=2 * 1024,
-        gap=12.0,
-        comp=comp,
-    )
-
-
-class AdversarialFamily(_TableFamily):
-    name = "adversarial"
-    description = (
-        "thrashing and compressibility-flip scenarios that stress "
-        "CP set dueling and insertion heuristics"
-    )
-    _TARGETS: _TargetTable = {
-        "thrash": (
-            "4 cyclic sweeps sized just past the LLC capacity",
-            lambda: [_thrash_core(i) for i in range(4)],
-        ),
-        "comp_flip": (
-            "hot sets alternating compressible/incompressible per phase",
-            lambda: [_flip_core(i) for i in range(4)],
-        ),
-        "duel_stress": (
-            "2 near-fully-compressible cores vs 2 incompressible cores",
-            lambda: [_duel_core(0, True), _duel_core(1, True),
-                     _duel_core(0, False), _duel_core(1, False)],
-        ),
-    }
+    def _target_description(self, target: str) -> str:
+        return self._TARGETS[target][0]
 
 
 register_family(DatacenterFamily())
-register_family(PhaseFamily())
-register_family(AdversarialFamily())

@@ -101,13 +101,6 @@ class AppProfile:
     #: policies keep paying NVM insertions after convergence.
     n_phases: int = 3
     phase_accesses: int = 150_000
-    #: When set, the *odd* phase slots of the hot structured regions
-    #: draw incompressible data: each phase rotation flips the hot
-    #: set's compressibility, so CP set dueling must keep re-electing
-    #: its threshold.  Deliberately breaks the Fig. 2 aggregate-split
-    #: property the calibrated profiles maintain — adversarial targets
-    #: only (:mod:`repro.workloads.families`).
-    comp_flip: bool = False
 
     def __post_init__(self) -> None:
         if sum(self.region_weights) <= 0:

@@ -3,9 +3,9 @@
 Historically ``repro.workloads`` *was* the calibrated synthetic
 generator — one implicit family, hard-wired into every layer that
 needed a workload.  This module makes the family explicit: a
-:class:`WorkloadFamily` names a set of *targets* (mixes, scenarios,
-imported trace sets), describes each one as a :class:`TargetSpec`, and
-builds a ready-to-simulate :class:`~repro.engine.Workload` on demand.
+:class:`WorkloadFamily` names a set of *targets* (mixes, scenarios),
+describes each one as a :class:`TargetSpec`, and builds a
+ready-to-simulate :class:`~repro.engine.Workload` on demand.
 Everything downstream — campaign units, memo keys, snapshots, the
 analytical estimator, ``repro export`` — works per family without
 knowing any family's internals.
@@ -26,15 +26,13 @@ Registered families:
 * ``synthetic`` — the paper's Table V mixes (PROFILES/MIXES), built
   byte-identically to the pre-registry path; the committed golden
   digests gate this.
-* ``datacenter`` / ``phase`` / ``adversarial`` — new synthetic
-  scenario families (:mod:`repro.workloads.families`).
-* ``external`` — imported access traces
-  (:mod:`repro.workloads.external`).
+* ``datacenter`` — key-value/scan service mixes
+  (:mod:`repro.workloads.families`).
 
-Adding a family is subclassing :class:`WorkloadFamily` (or
-:class:`SyntheticProfileFamily` for profile-backed ones) and calling
-:func:`register_family`; campaigns, memoization and exploration
-inherit it with no further wiring.
+Adding a family is subclassing :class:`WorkloadFamily`, supplying
+:meth:`~WorkloadFamily.targets` and :meth:`~WorkloadFamily._profiles`,
+and calling :func:`register_family`; campaigns, memoization and
+exploration inherit it with no further wiring.
 """
 
 from __future__ import annotations
@@ -91,9 +89,6 @@ class TargetSpec:
     hcr_fraction: float
     lcr_fraction: float
     incompressible_fraction: float
-    #: False for fixed-dimension targets (imported traces) that ignore
-    #: ``ExperimentScale.factor`` and run as recorded.
-    scalable: bool = True
 
     @property
     def ref(self) -> str:
@@ -109,7 +104,6 @@ class TargetSpec:
             "hcr_fraction": round(self.hcr_fraction, 6),
             "lcr_fraction": round(self.lcr_fraction, 6),
             "incompressible_fraction": round(self.incompressible_fraction, 6),
-            "scalable": self.scalable,
         }
 
     @property
@@ -118,47 +112,6 @@ class TargetSpec:
         return hashlib.sha256(
             canonical_json(self.to_json()).encode("utf-8")
         ).hexdigest()
-
-
-class WorkloadFamily:
-    """One pluggable source of workload targets.
-
-    Subclasses set :attr:`name` / :attr:`description` and implement
-    :meth:`targets`, :meth:`target_spec` and :meth:`build`.
-    """
-
-    name: str = ""
-    description: str = ""
-
-    def targets(self) -> Tuple[str, ...]:
-        """The buildable target names, in a stable order."""
-        raise NotImplementedError
-
-    def target_spec(self, target: str) -> TargetSpec:
-        """The declarative spec of one target."""
-        raise NotImplementedError
-
-    def build(
-        self, target: str, scale: "ExperimentScale", seed: int = 0
-    ) -> "Workload":
-        """A ready-to-simulate workload for ``target`` at ``scale``."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    def describe(self, target: str) -> Dict[str, object]:
-        """Display metadata of one target (``repro workloads``)."""
-        return self.target_spec(target).to_json()
-
-    def check_target(self, target: str) -> str:
-        """Validate a target name, raising :class:`WorkloadRefError`."""
-        known = self.targets()
-        if target not in known:
-            raise WorkloadRefError(
-                f"{self.name}:{target}",
-                f"unknown {self.name} target {target!r}",
-                choices=tuple(f"{self.name}:{t}" for t in known),
-            )
-        return target
 
 
 def _mean_fractions(
@@ -172,24 +125,46 @@ def _mean_fractions(
     )
 
 
-class SyntheticProfileFamily(WorkloadFamily):
-    """Base for families backed by paper-scale :class:`AppProfile` lists.
+class WorkloadFamily:
+    """One pluggable source of profile-backed workload targets.
 
-    Subclasses implement :meth:`_profiles` returning per-core profiles
-    at paper scale; building scales them by ``scale.factor`` and
-    routes through the shared in-process :class:`WorkloadCache` —
-    exactly the pre-registry ``ExperimentScale.workload`` body, so the
-    ``synthetic`` family stays byte-identical under the golden digests
-    and every new family inherits the same caching.
+    Subclasses set :attr:`name` / :attr:`description` and implement
+    :meth:`targets` and :meth:`_profiles`, which returns a target's
+    per-core profiles at paper scale.  Building scales them by
+    ``scale.factor`` and routes through the shared in-process
+    :class:`WorkloadCache` — exactly the pre-registry
+    ``ExperimentScale.workload`` body, so the ``synthetic`` family
+    stays byte-identical under the golden digests and every family
+    shares the same caching.
     """
 
+    name: str = ""
+    description: str = ""
+
+    def targets(self) -> Tuple[str, ...]:
+        """The buildable target names, in a stable order."""
+        raise NotImplementedError
+
     def _profiles(self, target: str) -> List[AppProfile]:
+        """Per-core profiles of ``target`` at paper scale."""
         raise NotImplementedError
 
     def _target_description(self, target: str) -> str:
         return ""
 
+    def check_target(self, target: str) -> str:
+        """Validate a target name, raising :class:`WorkloadRefError`."""
+        known = self.targets()
+        if target not in known:
+            raise WorkloadRefError(
+                f"{self.name}:{target}",
+                f"unknown {self.name} target {target!r}",
+                choices=tuple(f"{self.name}:{t}" for t in known),
+            )
+        return target
+
     def target_spec(self, target: str) -> TargetSpec:
+        """The declarative spec of one target."""
         self.check_target(target)
         profiles = self._profiles(target)
         hcr, lcr, inc = _mean_fractions(profiles)
@@ -207,6 +182,7 @@ class SyntheticProfileFamily(WorkloadFamily):
     def build(
         self, target: str, scale: "ExperimentScale", seed: int = 0
     ) -> "Workload":
+        """A ready-to-simulate workload for ``target`` at ``scale``."""
         from ..engine import Workload
         from .cache import SHARED_WORKLOAD_CACHE
 
@@ -224,7 +200,7 @@ class SyntheticProfileFamily(WorkloadFamily):
         )
 
 
-class SyntheticMixFamily(SyntheticProfileFamily):
+class SyntheticMixFamily(WorkloadFamily):
     """The paper's Table V mixes — the pre-registry workload space."""
 
     name = "synthetic"
@@ -328,7 +304,7 @@ def workload_ref_fingerprint(ref: str) -> Optional[Dict[str, str]]:
     pre-registry key space — returning a component there would orphan
     every existing result-cache entry); a ``{family, target,
     spec_hash}`` dict for every other family, so cached results can
-    never cross families and a re-imported external target (different
+    never cross families and a target whose profiles change (different
     spec hash) sheds its stale entries.
     """
     try:
@@ -357,8 +333,7 @@ def workload_refs() -> Tuple[str, ...]:
 
 register_family(SyntheticMixFamily())
 
-# Self-registration of the bundled families (import side effects are
-# the registration calls; the names themselves are unused here).  Kept
-# at the bottom so both modules can import the base classes above.
-from . import external as _external  # noqa: E402,F401  (registers "external")
-from . import families as _families  # noqa: E402,F401  (registers 3 families)
+# Self-registration of the bundled scenario family (the import side
+# effect is the registration call).  Kept at the bottom so the module
+# can import the base class above.
+from . import families as _families  # noqa: E402,F401  (registers "datacenter")

@@ -35,9 +35,8 @@ def _base(
     rw_wf: float = 0.5,
     gap: float = 14.0,
     comp: Optional[SizeWeights] = None,
-    n_phases: int = 1,
 ) -> AppProfile:
-    regions = n_phases * (loop_blocks + scan_blocks + rw_blocks) + rnd_blocks
+    regions = loop_blocks + scan_blocks + rw_blocks + rnd_blocks
     footprint = max(footprint, regions + 32 * 1024)
     return AppProfile(
         name=name,
@@ -56,7 +55,7 @@ def _base(
         random_write_frac=0.1,
         gap_mean=gap,
         comp_weights=comp if comp is not None else _DEFAULT_COMP,
-        n_phases=n_phases,
+        n_phases=1,
     )
 
 

@@ -1,20 +1,14 @@
-"""Trace file I/O: plug externally recorded traces into the simulator.
+"""The trace cache's on-disk format: binary ``.trc`` trace files.
 
-The synthetic generator covers the paper's evaluation, but a
-downstream user reproducing with *real* traces (Pin, DynamoRIO, gem5
-ELF traces, ...) only needs to convert them to one of two formats:
+:mod:`repro.workloads.cache` persists every materialized trace in this
+format, so campaign workers and later runs replay it instead of
+regenerating it.  A file is a 16-byte header (magic, version, record
+count) followed by little-endian records ``<IQB`` (gap:u32, block
+address:u64, is_write:u8).  Addresses are block-aligned (byte address
+>> 6) and carry the owning core in bits ``CORE_ADDR_SHIFT`` and up,
+matching :mod:`repro.workloads.trace`.
 
-* **binary** (``.trc``) — little-endian records ``<IQB`` (gap:u32,
-  block address:u64, is_write:u8) after a 16-byte header; compact and
-  fast;
-* **CSV** — ``gap,addr,is_write`` with ``addr`` in decimal or 0x-hex;
-  human-editable.
-
-Addresses must already be block-aligned (byte address >> 6) and carry
-the owning core in bits ``CORE_ADDR_SHIFT`` and up, matching
-:mod:`repro.workloads.trace`.
-
-Binary traces are *validated*, not trusted: the header magic, version
+Trace files are *validated*, not trusted: the header magic, version
 and declared record count are checked against the bytes actually
 present, and any mismatch raises :class:`TraceFormatError` naming the
 offending file.  :func:`validate_trace` performs the same checks
@@ -25,37 +19,27 @@ content-hash helper the campaign checkpoint layer
 Two loaders share the validation path:
 
 * :func:`load_trace` — the portable ``struct`` decoder, which copies
-  every record into fresh ``array`` columns;
-* :func:`load_trace_mmap` — a zero-copy loader that ``mmap``\\ s the
+  every record into fresh ``array`` columns; it is the reference the
+  zero-copy loader is tested against;
+* :func:`load_trace_mmap` — the cache's loader: it ``mmap``\\ s the
   record region and exposes the gap/addr/write columns as strided
   NumPy views straight over the page cache.  Forked campaign workers
   mapping the same cache file then *share* the read-only pages
-  instead of each materialising a private copy.  Falls back to
-  :func:`load_trace` when NumPy is unavailable.
+  instead of each materialising a private copy.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import mmap
 import os
 import struct
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Tuple, Union
 
-try:  # optional: only the zero-copy loader needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    _np = None
+import numpy as np
 
-from .trace import CORE_ADDR_SHIFT, MaterializedTrace, TraceRecord
-
-#: Exclusive upper bound of a per-core block offset: the address slice
-#: below the core-id bits.  The external trace importer validates
-#: imported addresses against this so a too-wide address can never
-#: alias into another core's address space.
-MAX_BLOCK_OFFSET = 1 << CORE_ADDR_SHIFT
+from .trace import MaterializedTrace
 
 _MAGIC = b"REPROTRC"
 _VERSION = 1
@@ -63,11 +47,7 @@ _HEADER = struct.Struct("<8sII")   # magic, version, record count
 _RECORD = struct.Struct("<IQB")    # gap, block addr, is_write
 
 #: NumPy mirror of ``_RECORD``: packed (itemsize 13), little-endian.
-_RECORD_DTYPE = (
-    _np.dtype([("gap", "<u4"), ("addr", "<u8"), ("write", "u1")])
-    if _np is not None
-    else None
-)
+_RECORD_DTYPE = np.dtype([("gap", "<u4"), ("addr", "<u8"), ("write", "u1")])
 
 PathLike = Union[str, Path]
 
@@ -223,14 +203,12 @@ def load_trace_mmap(path: PathLike) -> MaterializedTrace:
     lists in ``replay_columns`` — byte-identical statistics are gated
     by the golden-digest suite.
     """
-    if _np is None:  # pragma: no cover - numpy is baked into the image
-        return load_trace(path)
     _, count = validate_trace(path)
     if count == 0:
         raise ValueError("empty trace")
     with open(path, "rb") as fh:
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    view = _np.frombuffer(
+    view = np.frombuffer(
         mapped, dtype=_RECORD_DTYPE, count=count, offset=_HEADER.size
     )
     # The column views hold a reference to ``view`` (and transitively
@@ -238,43 +216,3 @@ def load_trace_mmap(path: PathLike) -> MaterializedTrace:
     return MaterializedTrace.from_columns(
         view["gap"], view["addr"], view["write"]
     )
-
-
-def save_trace_csv(trace: MaterializedTrace, path: PathLike) -> None:
-    """Write a trace as ``gap,addr,is_write`` CSV (with header line)."""
-    with open(path, "w") as fh:
-        fh.write("gap,addr,is_write\n")
-        for gap, addr, write in zip(trace.gaps, trace.addrs, trace.writes):
-            fh.write(f"{gap},{addr:#x},{1 if write else 0}\n")
-
-
-def _parse_int(text: str) -> int:
-    text = text.strip()
-    return int(text, 16) if text.lower().startswith("0x") else int(text)
-
-
-def load_trace_csv(source: Union[PathLike, io.TextIOBase]) -> MaterializedTrace:
-    """Read a CSV trace (header line optional; hex or decimal addrs)."""
-    own = not hasattr(source, "read")
-    fh = open(source) if own else source
-    try:
-        records: List[TraceRecord] = []
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line_no == 1 and line.lower().startswith("gap"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"line {line_no}: expected 3 fields, got {len(parts)}")
-            gap = int(parts[0])
-            addr = _parse_int(parts[1])
-            is_write = parts[2].strip() not in ("0", "", "false", "False")
-            if gap < 0 or addr < 0:
-                raise ValueError(f"line {line_no}: negative field")
-            records.append(TraceRecord(gap, addr, is_write))
-    finally:
-        if own:
-            fh.close()
-    return MaterializedTrace(records)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import _policy_args, build_parser, main
@@ -22,6 +24,21 @@ def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "cp_sd" in out and "mix10" in out and "zeusmp06" in out
+
+
+def test_workloads_command(capsys):
+    assert main(["workloads"]) == 0
+    refs = re.findall(r"^(\w+:\w+) ", capsys.readouterr().out, re.MULTILINE)
+    assert refs == [f"synthetic:mix{i}" for i in range(1, 11)] + [
+        "datacenter:kv_read",
+        "datacenter:kv_write",
+        "datacenter:scan_analytics",
+        "datacenter:kv_scan_mix",
+    ]
+
+    assert main(["workloads", "--family", "phase"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown family 'phase' (choose from: datacenter, synthetic)" in err
 
 
 def test_simulate_command(capsys):

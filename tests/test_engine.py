@@ -1,5 +1,6 @@
 """Tests for the Workload bundle and the Simulation engine."""
 
+import copy
 from dataclasses import replace
 
 import pytest
@@ -27,11 +28,6 @@ def test_workload_builds_four_traces():
     assert wl.n_cores == 4
     assert len(wl.traces) == 4
     assert all(len(t) == 5000 for t in wl.traces)
-
-
-def test_workload_from_mix():
-    wl = Workload.from_mix("mix2", trace_records_per_core=1000)
-    assert wl.n_cores == 4
 
 
 def test_workload_requires_profiles():
@@ -154,12 +150,12 @@ def test_replay_wraps_to_trace_start(policy_name):
     scale = replace(SMOKE, trace_records_per_core=n)
     config = scale.system()
     wl = scale.workload("mix1")
-    doubled = Workload.from_traces(
-        wl.profiles,
-        [MaterializedTrace(trace.records * 2) for trace in wl.traces],
-        seed=wl.seed,
-        family=wl.family,
-    )
+    # A copy, not the shared-cache object the scale handed out.
+    doubled = copy.copy(wl)
+    doubled.traces = [
+        MaterializedTrace(trace.records * 2) for trace in wl.traces
+    ]
+    assert doubled is not wl
     cycles = config.dueling.epoch_cycles
     wrapped = Simulation(config, make_policy(policy_name), wl).run(cycles, 0)
     assert max(core.accesses for core in wrapped.stats.cores) > n

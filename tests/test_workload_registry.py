@@ -16,7 +16,6 @@ import pytest
 from repro.experiments.common import SMOKE
 from repro.workloads.registry import (
     DEFAULT_FAMILY,
-    SyntheticProfileFamily,
     TargetSpec,
     WorkloadFamily,
     WorkloadRefError,
@@ -73,13 +72,11 @@ def test_ref_error_is_keyerror():
 def test_normalize_prefers_bare_synthetic():
     assert normalize_workload_ref("synthetic:mix1") == "mix1"
     assert normalize_workload_ref("mix1") == "mix1"
-    assert normalize_workload_ref("phase:abrupt") == "phase:abrupt"
+    assert normalize_workload_ref("datacenter:kv_read") == "datacenter:kv_read"
 
 
 def test_family_names_default_first():
-    names = family_names()
-    assert names[0] == DEFAULT_FAMILY
-    assert {"datacenter", "phase", "adversarial", "external"} <= set(names)
+    assert family_names() == ("synthetic", "datacenter")
 
 
 def test_workload_refs_cover_every_family_target():
@@ -139,7 +136,6 @@ def test_spec_json_roundtrips_identity():
         hcr_fraction=data["hcr_fraction"],
         lcr_fraction=data["lcr_fraction"],
         incompressible_fraction=data["incompressible_fraction"],
-        scalable=data["scalable"],
     )
     assert rebuilt.spec_hash == spec.spec_hash
 
@@ -155,15 +151,16 @@ def test_synthetic_fingerprint_is_none():
 
 
 def test_new_family_fingerprint_names_family_and_spec():
-    fp = workload_ref_fingerprint("phase:abrupt")
-    assert fp["family"] == "phase"
-    assert fp["target"] == "abrupt"
-    assert fp["spec_hash"] == get_family("phase").target_spec("abrupt").spec_hash
+    fp = workload_ref_fingerprint("datacenter:kv_read")
+    assert fp["family"] == "datacenter"
+    assert fp["target"] == "kv_read"
+    spec = get_family("datacenter").target_spec("kv_read")
+    assert fp["spec_hash"] == spec.spec_hash
 
 
 def test_fingerprints_differ_across_targets():
-    a = workload_ref_fingerprint("phase:abrupt")
-    b = workload_ref_fingerprint("phase:gradual")
+    a = workload_ref_fingerprint("datacenter:kv_read")
+    b = workload_ref_fingerprint("datacenter:kv_write")
     assert a["spec_hash"] != b["spec_hash"]
 
 
@@ -177,9 +174,9 @@ def test_synthetic_build_matches_scale_workload():
 
 
 def test_builds_stamp_family_and_target():
-    workload = build_workload("adversarial:thrash", scale=TINY, seed=0)
-    assert workload.family == "adversarial"
-    assert workload.target == "thrash"
+    workload = build_workload("datacenter:scan_analytics", scale=TINY, seed=0)
+    assert workload.family == "datacenter"
+    assert workload.target == "scan_analytics"
     assert len(workload.traces) == 4
 
 
@@ -187,11 +184,9 @@ def test_builds_stamp_family_and_target():
     "ref",
     [
         "datacenter:kv_read",
+        "datacenter:kv_write",
+        "datacenter:scan_analytics",
         "datacenter:kv_scan_mix",
-        "phase:abrupt",
-        "phase:burst",
-        "adversarial:comp_flip",
-        "adversarial:duel_stress",
     ],
 )
 def test_new_family_targets_build_and_replay(ref):
@@ -203,32 +198,19 @@ def test_new_family_targets_build_and_replay(ref):
 
 
 def test_same_ref_same_seed_shares_cache_entry():
-    first = build_workload("phase:gradual", scale=TINY, seed=3)
-    second = build_workload("phase:gradual", scale=TINY, seed=3)
+    first = build_workload("datacenter:kv_write", scale=TINY, seed=3)
+    second = build_workload("datacenter:kv_write", scale=TINY, seed=3)
     assert first is second
-
-
-def test_comp_flip_changes_sizes_not_addresses():
-    # the flip must be carried entirely by the DataModel: the RNG
-    # streams (and hence addresses) stay those of the unflipped twin
-    flipped = build_workload("adversarial:comp_flip", scale=TINY, seed=0)
-    model = flipped.data_model
-    profile = flipped.profiles[0]
-    sizes = {
-        model.size_fn(addr)[0]
-        for addr in range(0, profile.hot_region_blocks)
-    }
-    assert 64 in sizes       # some slots flipped incompressible
-    assert min(sizes) < 64   # others kept their compressible draw
 
 
 def test_campaign_units_enumerate_over_new_families():
     from repro.experiments.campaign_tasks import enumerate_campaign_tasks
 
-    scale = replace(TINY, mixes=("datacenter:kv_read", "phase:abrupt"))
+    refs = ("datacenter:kv_read", "datacenter:scan_analytics")
+    scale = replace(TINY, mixes=refs)
     tasks = enumerate_campaign_tasks(["fig6"], scale)
     mixes = {task.unit["mix"] for task in tasks}
-    assert mixes == {"datacenter:kv_read", "phase:abrupt"}
+    assert mixes == set(refs)
 
 
 # ----------------------------------------------------------------------
