@@ -32,8 +32,7 @@ bench-explore:
 		--out $$(mktemp -d)
 
 # Memoization bench: cold vs cache-served campaign (verified
-# byte-identical) + snapshot warm-start, gated against the committed
-# artefact.  Wall-clock ratios of the tiny warm pass are noisy, hence
+# byte-identical), gated against the committed artefact.  Wall-clock ratios of the tiny warm pass are noisy, hence
 # the generous threshold; correctness is asserted inside the bench.
 bench-memo:
 	PYTHONPATH=src python -m repro bench --memo --scale smoke \

@@ -45,18 +45,23 @@ if [[ "$RUN_TESTS" == 1 ]]; then
   echo "== ci: tier-1 test suite + perfbench self-tests =="
   python -m pytest -x -q tests perfbench
 
-  echo "== ci: forecast digests (one perfbench lifetime pass) =="
-  # run.py exits non-zero unless all five Fig. 10a forecast digests
-  # match perfbench/references.json and the engine's golden digests
-  # match tests/goldens/determinism.json; this pins the forecast
-  # outputs (aging, fault-map re-entry), which the tier-1 goldens do
-  # not cover.  It runs from a copy of the files it reads so that its
-  # detail file lands under $TMP_ROOT, not in the working tree.
+  echo "== ci: run_one and forecast digests (one pass per perfbench workload) =="
+  # run.py exits non-zero unless every unit's digest matches
+  # perfbench/references.json and the engine's golden digests match
+  # tests/goldens/determinism.json.  The tier-1 goldens cover three
+  # policies on a smoke window; these passes pin all eight line-up
+  # policies on mix1/mix4 (matrix) and datacenter:kv_write (ingest) at
+  # default scale, and the five Fig. 10a forecasts (lifetime) through
+  # aging and fault-map re-entry.  They run from a copy of the files
+  # they read so that their detail files land under $TMP_ROOT, not in
+  # the working tree.
   mkdir -p "$TMP_ROOT/perfbench/tests"
   cp -r src perfbench "$TMP_ROOT/perfbench/"
   cp -r tests/goldens "$TMP_ROOT/perfbench/tests/"
-  python3 "$TMP_ROOT/perfbench/perfbench/run.py" \
-    --workload lifetime --seed 0 --seconds 1
+  for workload in lifetime matrix ingest; do
+    python3 "$TMP_ROOT/perfbench/perfbench/run.py" \
+      --workload "$workload" --seed 0 --seconds 1
+  done
 fi
 
 if [[ "$RUN_SCHEMA" == 1 ]]; then
@@ -84,9 +89,8 @@ if [[ "$RUN_MEMO" == 1 ]]; then
   echo "== ci: memoization correctness smoke =="
   # `bench --memo` runs a reduced campaign twice against one result
   # cache and *raises* unless the second pass is served entirely from
-  # cache with byte-identical results (and the snapshot warm-start is
-  # digest-identical) — so this leg is a correctness gate, not a
-  # timing one; no baseline comparison needed here.
+  # cache with byte-identical results — so this leg is a correctness
+  # gate, not a timing one; no baseline comparison needed here.
   python -m repro bench --memo --scale smoke --out "$TMP_ROOT/memo"
 fi
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import tempfile
 import time
-from typing import Optional
 
 from ..experiments.common import ExperimentScale
 from .runner import BENCH_SCHEMA, _host_metadata

@@ -39,7 +39,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from ..config import SystemConfig
 from ..core.policy import FillContext, InsertionPolicy
 from .block import BlockMeta, MetadataTable, ReuseClass
-from .cacheset import NVM, SRAM
 from .llc import HybridLLC, SizeFn
 from .private_cache import PrivateCache
 from .stats import HierarchyStats

@@ -513,8 +513,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         memo = document["memo"]
         print(
             f"warm campaign speedup {memo['campaign']['speedup']:.1f}x "
-            f"({memo['campaign']['units']} units, byte-identical); "
-            f"snapshot restore speedup {memo['snapshot']['speedup']:.1f}x"
+            f"({memo['campaign']['units']} units, byte-identical)"
         )
         if args.baseline is None:
             return 0
@@ -877,8 +876,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "e.g. '1,4,8'); writes BENCH_parallel.json")
     p.add_argument("--memo", action="store_true",
                    help="memoization mode: time a cold vs cache-served "
-                        "campaign pass (verified byte-identical) plus a "
-                        "snapshot warm-start; writes BENCH_memo.json")
+                        "campaign pass (verified byte-identical); writes "
+                        "BENCH_memo.json")
     p.add_argument("--explore", action="store_true",
                    help="explorer mode: run the full default design space "
                         "through the analytical screening tier, measure "

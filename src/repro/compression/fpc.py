@@ -15,7 +15,6 @@ CP_th machinery, which reason in terms of the Table I ladder.
 from __future__ import annotations
 
 import struct
-from typing import List, Tuple
 
 from .base import CompressionResult, Compressor
 from .encodings import BLOCK_SIZE, ENCODING_SIZES, UNCOMPRESSED, best_fit_encoding

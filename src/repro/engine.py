@@ -256,14 +256,17 @@ class Simulation:
         Unlike :meth:`run`, whose budget is relative to the current
         core positions, the end (and the optional ``warmup_until``
         stats-reset boundary) are absolute clock values.  This is what
-        makes warm-started runs byte-identical to cold ones: cores
+        lets a run be split without moving its measured window: cores
         overshoot a warmup boundary by a few hundred cycles, so a
-        relative budget re-applied after a snapshot restore would move
-        the end of the measured window.  ``run(c, warmup_cycles=w)``
-        from a fresh simulation is exactly ``run_until(c, w)``, and
-        ``run_until(w, w)`` followed by ``run_until(c, w)`` replays the
-        same access stream, statistics, and epoch records in two steps
-        (``tests/test_snapshot.py`` pins this against the goldens).
+        relative budget re-applied after a split would move its end.
+        ``run(c, warmup_cycles=w)`` from a fresh simulation is exactly
+        ``run_until(c, w)``, and ``run_until(w, w)`` followed by
+        ``run_until(c, w)`` replays the same access stream, statistics,
+        and epoch records in two steps, also across a
+        :meth:`snapshot`/:meth:`restore` (``tests/test_snapshot.py``
+        pins this resumability against the goldens).  No simulation
+        path splits its runs; the benchmark in ``perfbench/`` still
+        wraps this method.
 
         ``end_cycle == warmup_until`` is allowed: it runs pure warmup —
         every core crosses the boundary, stats are reset, and the
@@ -431,7 +434,7 @@ class Simulation:
         )
 
     # ------------------------------------------------------------------
-    # snapshot / restore (the memoization subsystem's engine hook)
+    # snapshot / restore (resumability; no simulation path uses them)
     # ------------------------------------------------------------------
     def _snapshot_shared(self) -> tuple:
         """Objects shared (not copied) between a snapshot and its host.
@@ -455,7 +458,10 @@ class Simulation:
         the epoch schedule — everything :meth:`restore` needs to make a
         subsequent ``run_until`` byte-identical to continuing this
         simulation.  Policy state rides along because the policy hangs
-        off ``hierarchy.llc``.
+        off ``hierarchy.llc``.  No simulation path snapshots any more
+        (a warm-up is never repeated); the method stays for the
+        benchmark in ``perfbench/``, which wraps it, and for the
+        resumability tests.
         """
         shared = self._snapshot_shared()
         memo = {id(obj): obj for obj in shared}
@@ -471,10 +477,8 @@ class Simulation:
 
         The state is deep-copied *again* on the way in, so one stored
         snapshot can warm-start any number of simulations.  The host
-        simulation must have been built for the same geometry (same
-        core count); key construction in :mod:`repro.memo.snapshots`
-        guarantees full config/workload equality for store-served
-        snapshots.
+        simulation must have been built for the same config and
+        workload; only the core count is checked.
         """
         memo = {id(obj): obj for obj in snap._shared}
         hierarchy, cores, cursors, next_epoch, epoch_index = copy.deepcopy(

@@ -193,23 +193,12 @@ def run_one(
     ``capacities`` optionally preloads an aged NVM fault map (shape
     ``(n_sets, nvm_ways)``) before the run — how the capacity-sweep
     experiments model a worn cache.
-
-    When the in-process snapshot store is enabled (the default; see
-    :mod:`repro.memo.snapshots`), the warmup prefix is keyed by
-    (config, policy, workload, warmup, capacities): the first run of a
-    prefix snapshots its warmed state and later runs restore it
-    instead of re-simulating.  Warm and cold paths return
-    byte-identical results — the store replays the warmup's epoch
-    records too — so callers cannot observe which path ran.
     """
-    import dataclasses as _dc
-
     from ..engine import Simulation
     from ..manifest import describe_policy, describe_workload
-    from ..memo.snapshots import shared_snapshot_store, warm_prefix_key
 
-    # Provenance is captured from the *pre-run* policy state so the
-    # record is identical whether the warmup ran or was restored.
+    # Provenance describes the policy as the caller built it, before
+    # the simulation binds it and the run changes its state.
     meta = {
         "policy": describe_policy(policy),
         "workload": describe_workload(workload),
@@ -220,32 +209,10 @@ def run_one(
     epoch = config.dueling.epoch_cycles
     warmup = epoch * warmup_epochs
     total = epoch * (warmup_epochs + measure_epochs)
-    store = shared_snapshot_store()
-    result = None
-    if store is not None and warmup > 0:
-        key = warm_prefix_key(config, policy, workload, warmup, capacities)
-        if key is not None:
-            entry = store.get(key)
-            sim = Simulation(config, policy, workload)
-            if entry is None:
-                if capacities is not None:
-                    sim.hierarchy.llc.faultmap.load_capacities(capacities)
-                prefix = sim.run_until(warmup, warmup_until=warmup)
-                store.put(key, sim.snapshot(), prefix.epochs)
-                prefix_epochs = prefix.epochs
-            else:
-                # Capacities are baked into the snapshot (and the key).
-                sim.restore(entry.snapshot)
-                prefix_epochs = [_dc.replace(e) for e in entry.epochs]
-            result = sim.run_until(total, warmup_until=warmup)
-            result.epochs[:0] = prefix_epochs
-
-    if result is None:
-        sim = Simulation(config, policy, workload)
-        if capacities is not None:
-            sim.hierarchy.llc.faultmap.load_capacities(capacities)
-        result = sim.run(cycles=total, warmup_cycles=warmup)
-
+    sim = Simulation(config, policy, workload)
+    if capacities is not None:
+        sim.hierarchy.llc.faultmap.load_capacities(capacities)
+    result = sim.run(cycles=total, warmup_cycles=warmup)
     return _record_from_sim(sim, result, meta)
 
 
@@ -253,8 +220,6 @@ def _record_from_sim(sim, result, meta):
     """Collect every registered layer of a finished simulation."""
     from ..metrics import REGISTRY
 
-    # sim.policy (not the caller's argument) so the snapshot-restored
-    # and cold paths observe the same post-run policy state.
     record = result.to_run_record(meta=meta, policy=sim.policy)
     record.metrics.update(REGISTRY.collect("nvm", sim.hierarchy.llc.wear))
     controller = getattr(sim.policy, "controller", None)

@@ -19,7 +19,6 @@ from ..compression.encodings import classify
 from ..metrics.registry import register_metric
 from ..workloads.data import DataModel
 from ..workloads.profiles import APP_NAMES, profile
-from ..workloads.trace import CORE_ADDR_SHIFT
 
 register_metric("fig2", "hcr", "fraction",
                 "Share of blocks compressing to the high-ratio class",

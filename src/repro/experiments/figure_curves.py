@@ -9,7 +9,7 @@ charts for terminals and artefact files.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..analysis.curves import (
     Curve,

@@ -15,7 +15,7 @@ drifts to smaller thresholds — the motivation for Set Dueling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..compression.encodings import CPTH_LADDER
 from ..core import make_policy

@@ -2,7 +2,7 @@
 
 ``repro explore`` screens 1000+ LLC configurations through the
 closed-form estimator in :mod:`repro.analytical`, prunes rung by rung,
-confirms the survivors with real warm-snapshot simulations, and emits
+confirms the survivors with real simulations, and emits
 a crash-consistent Pareto frontier over (IPC, projected lifetime).
 """
 

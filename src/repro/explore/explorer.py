@@ -4,7 +4,7 @@ The explorer takes a :class:`~repro.explore.space.ExploreSpace` (1000+
 configurations), screens every point with the closed-form estimator at
 increasing *fidelity* (more mixes, more seeds per rung), keeps the top
 ``1/eta`` of each rung, and finally **confirms** the handful of
-survivors with real warm-snapshot simulations (memoized through
+survivors with real simulations (through
 :func:`repro.experiments.common.run_one`).  The Pareto frontier over
 (IPC, projected lifetime) is computed from the *confirmed* runs only —
 the analytical tier decides what is worth simulating, never what is
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..analytical.model import AnalyticalEstimate, AnalyticalModel, PolicyDescriptor
+from ..analytical.model import AnalyticalEstimate, AnalyticalModel
 from ..metrics.record import RunRecord
 from ..metrics.registry import register_metric
 from .space import DesignPoint, ExploreSpace

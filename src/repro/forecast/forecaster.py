@@ -174,39 +174,6 @@ class Forecaster:
         np.maximum(norm, 1e-12, out=norm)
         return set_totals * (weights / norm)
 
-    def _first_phase(self, sim: Simulation, warmup: float):
-        """Step-0 phase, warm-started from the snapshot store if possible.
-
-        A fresh simulation's relative clock equals the absolute clock,
-        so ``run(warmup + phase, warmup_cycles=warmup)`` is exactly
-        ``run_until(warmup, warmup)`` + ``run_until(warmup + phase,
-        warmup)`` — which lets the warmup half be snapshotted/restored
-        without perturbing a single statistic.
-        """
-        from ..memo.snapshots import shared_snapshot_store, warm_prefix_key
-
-        store = shared_snapshot_store()
-        key = (
-            warm_prefix_key(self.config, self.policy, self.workload, warmup)
-            if store is not None
-            else None
-        )
-        if key is None:
-            return sim.run(
-                warmup + self.phase_cycles,
-                warmup_cycles=warmup,
-                record_epochs=False,
-            )
-        entry = store.get(key)
-        if entry is None:
-            sim.run_until(warmup, warmup_until=warmup, record_epochs=False)
-            store.put(key, sim.snapshot(), [])
-        else:
-            sim.restore(entry.snapshot)
-        return sim.run_until(
-            warmup + self.phase_cycles, warmup_until=warmup, record_epochs=False
-        )
-
     def run(self) -> ForecastResult:
         sim = Simulation(self.config, self.policy, self.workload)
         llc = sim.hierarchy.llc
@@ -224,19 +191,12 @@ class Forecaster:
         for step in range(self.max_steps):
             # Epoch records are never consumed here (forecasts read
             # wear rates and phase aggregates), so don't accumulate
-            # them across re-entries; the initial warmup prefix is
-            # additionally served from the in-process snapshot store
-            # when another forecast/figure already simulated it.
-            if step == 0 and warmup > 0:
-                phase = self._first_phase(sim, warmup)
-            else:
-                phase = sim.run(
-                    warmup + self.phase_cycles,
-                    warmup_cycles=warmup,
-                    record_epochs=False,
-                )
-            # A snapshot restore in step 0 replaces sim.hierarchy.
-            llc = sim.hierarchy.llc
+            # them across re-entries.
+            phase = sim.run(
+                warmup + self.phase_cycles,
+                warmup_cycles=warmup,
+                record_epochs=False,
+            )
             warmup = self.rewarm_cycles
             wear = llc.wear
             if self.policy.granularity == "frame":

@@ -1,9 +1,9 @@
 """Crash-consistent artifact I/O (the storage reliability floor).
 
-PRs 3-5 made the reproduction deeply stateful on disk — result cache,
-warm snapshots, ``.trc``/``.sizes`` caches, checkpoints, manifests,
-BENCH artefacts — and a torn write, ENOSPC or bit flip in any of them
-could silently poison a resume.  This package is the one place all of
+The reproduction is deeply stateful on disk — result cache,
+``.trc``/``.sizes`` caches, checkpoints, manifests, BENCH artefacts —
+and a torn write, ENOSPC or bit flip in any of them could silently
+poison a resume.  This package is the one place all of
 that state flows through:
 
 * :mod:`~repro.fsio.durable` — atomic writes (tmp + fsync + rename +

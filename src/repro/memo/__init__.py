@@ -1,6 +1,6 @@
 """Content-addressed memoization above the engine.
 
-Three layers, all keyed by content hashes and tolerant of corrupt or
+Two layers, both keyed by content hashes and tolerant of corrupt or
 stale entries (mirroring the trace/sidecar cache design in
 :mod:`repro.workloads.cache`):
 
@@ -10,21 +10,15 @@ stale entries (mirroring the trace/sidecar cache design in
 * :mod:`repro.memo.results` — the on-disk campaign result cache: a
   completed unit's verified JSON payload, keyed by (fingerprint,
   experiment, unit, scale).
-* :mod:`repro.memo.snapshots` — the in-process post-warmup snapshot
-  store: a warmed :class:`~repro.engine.SimulationSnapshot`, keyed by
-  (fingerprint, config, policy, workload, warmup, capacities).
+
+:mod:`repro.memo.snapshots`, the retired post-warm-up snapshot store,
+is no longer used by any simulation and is not re-exported here; it
+stays only for the benchmark in ``perfbench/``, which still imports
+its names.
 """
 
 from .fingerprint import EMBEDDED_GOLDEN_DIGESTS, code_fingerprint
 from .results import RESULT_CACHE_ENV, ResultCache, result_cache_key
-from .snapshots import (
-    SNAPSHOT_MEMO_ENV,
-    SNAPSHOT_MEMO_SLOTS_ENV,
-    SnapshotStore,
-    reset_shared_snapshot_store,
-    shared_snapshot_store,
-    warm_prefix_key,
-)
 
 __all__ = [
     "EMBEDDED_GOLDEN_DIGESTS",
@@ -32,10 +26,4 @@ __all__ = [
     "RESULT_CACHE_ENV",
     "ResultCache",
     "result_cache_key",
-    "SNAPSHOT_MEMO_ENV",
-    "SNAPSHOT_MEMO_SLOTS_ENV",
-    "SnapshotStore",
-    "reset_shared_snapshot_store",
-    "shared_snapshot_store",
-    "warm_prefix_key",
 ]

@@ -1,28 +1,23 @@
-"""In-process post-warmup snapshot store (memo layer 2).
+"""In-process post-warmup snapshot store, kept only for perfbench.
 
-Units that share a ``(config, policy, mix, seed, warmup)`` prefix —
-figure variants measuring different horizons, the forecaster's
-baseline phase, repeat studies — re-simulate the identical warmup
-stream before their measured windows diverge.  The store keeps the
-warmed :class:`~repro.engine.SimulationSnapshot` (plus the epoch
-records the warmup produced) under a content-hash key, so the next
-simulation with the same prefix restores state instead of replaying
-it.  Split-run equivalence is exact: warm-started results are
-byte-identical to cold ones (golden-digest gated in
-``tests/test_snapshot.py``).
+No simulation path uses this store any more.  ``run_one`` and the
+forecaster once deep-copied every warmed simulation into it in case
+an identical ``(config, policy, workload, warmup)`` prefix recurred.
+The paper's sweeps warm each cell once, so the smoke figure suite hit
+it twice in 222 lookups and the benchmark workloads never did;
+dropping the copies cut the median wall time of perfbench's
+``matrix`` workload by 28 % on a 2-vCPU host.
 
-The store is deliberately in-memory and per-process: the snapshot
-graph hangs onto mmap-backed trace views and bound methods, so disk
-persistence would be fragile where the result cache is robust.  The
-persistent worker pool keeps workers alive across many units, which is
-where the cross-unit reuse happens.  A small LRU bound (snapshots hold
-a full hierarchy copy) keeps memory predictable.
+The names stay until the benchmark stops importing them: perfbench
+resets the shared store before every run and reads its
+``hits``/``misses``, and its tracer wraps :func:`warm_prefix_key`.
+``tests/test_snapshot.py`` still pins the key and the LRU.
 
 Keys cover the code fingerprint, the full system config, the policy's
 pre-bind state, the workload identity (profiles, seed, trace lengths),
 the warmup horizon and any preloaded fault-map capacities — flipping
 any of them changes the key.  Anything un-canonicalisable in a policy
-simply opts that policy out of snapshot reuse (key is ``None``).
+yields no key (``None``).
 """
 
 from __future__ import annotations
@@ -30,15 +25,12 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import os
 import types
 from collections import OrderedDict
 from typing import Any, List, NamedTuple, Optional, Tuple
 
 from .fingerprint import canonical_json, code_fingerprint
 
-SNAPSHOT_MEMO_ENV = "REPRO_SNAPSHOT_MEMO"
-SNAPSHOT_MEMO_SLOTS_ENV = "REPRO_SNAPSHOT_MEMO_SLOTS"
 DEFAULT_SLOTS = 4
 
 #: Schema tag stored on every entry (the in-memory analogue of the
@@ -47,8 +39,6 @@ DEFAULT_SLOTS = 4
 #: older definition — possible when workers fork after a hot code
 #: reload — then serves misses instead of incompatible state.
 SNAPSHOT_SCHEMA = "repro-snapshot/1"
-
-_OFF_VALUES = {"0", "off", "no", "false"}
 
 
 class _Unfreezable(TypeError):
@@ -204,24 +194,11 @@ class SnapshotStore:
 _shared_store: Optional[SnapshotStore] = None
 
 
-def shared_snapshot_store() -> Optional[SnapshotStore]:
-    """The process-wide store, or None when disabled via env.
-
-    ``REPRO_SNAPSHOT_MEMO=0`` (or off/no/false) disables snapshot
-    reuse; ``REPRO_SNAPSHOT_MEMO_SLOTS`` bounds the number of retained
-    snapshots (default 4).  Enablement is re-read per call so tests
-    and workers can flip it; the store itself is created once.
-    """
-    value = os.environ.get(SNAPSHOT_MEMO_ENV, "").strip().lower()
-    if value in _OFF_VALUES:
-        return None
+def shared_snapshot_store() -> SnapshotStore:
+    """The process-wide store, created on first use."""
     global _shared_store
     if _shared_store is None:
-        try:
-            slots = int(os.environ.get(SNAPSHOT_MEMO_SLOTS_ENV, DEFAULT_SLOTS))
-        except ValueError:
-            slots = DEFAULT_SLOTS
-        _shared_store = SnapshotStore(max(1, slots))
+        _shared_store = SnapshotStore()
     return _shared_store
 
 

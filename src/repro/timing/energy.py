@@ -19,7 +19,7 @@ experiments only consume *relative* energies between policies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from ..cache.stats import HierarchyStats

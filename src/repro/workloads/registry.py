@@ -6,9 +6,9 @@ needed a workload.  This module makes the family explicit: a
 :class:`WorkloadFamily` names a set of *targets* (mixes, scenarios),
 describes each one as a :class:`TargetSpec`, and builds a
 ready-to-simulate :class:`~repro.engine.Workload` on demand.
-Everything downstream — campaign units, memo keys, snapshots, the
-analytical estimator, ``repro export`` — works per family without
-knowing any family's internals.
+Everything downstream — campaign units, memo keys, the analytical
+estimator, ``repro export`` — works per family without knowing any
+family's internals.
 
 Workload references
 -------------------

@@ -1,6 +1,7 @@
 """Bench suite: document schema, baseline gate verdicts, CLI exit code."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,12 +12,21 @@ from repro.bench import (
     STATUS_OK,
     STATUS_REGRESSION,
     BenchMatrix,
+    MemoBenchError,
     compare_benches,
     load_bench,
     run_bench,
+    run_memo_bench,
     write_bench,
 )
+from repro.bench import memo as memo_bench
 from repro.experiments.common import SMOKE
+
+MEMO_BASELINE = (
+    Path(__file__).resolve().parent.parent
+    / "benchmarks" / "results" / "BENCH_memo.json"
+)
+MEMO_CASES = [("campaign", "cold"), ("campaign", "cache_served")]
 
 
 def _document(geomean, cases=(), label="t"):
@@ -247,3 +257,36 @@ def test_cli_bench_prints_phase_deltas_and_host_warning(
     assert "phase breakdown (current vs baseline):" in out
     assert "access_path" in out
     assert "WARNING: host mismatch" in out
+
+
+# ----------------------------------------------------------------------
+# memo bench: the result cache's correctness gate
+# ----------------------------------------------------------------------
+
+def test_memo_bench_matches_committed_artefact():
+    """``bench --memo`` emits exactly the rows ``BENCH_memo.json`` holds."""
+    document = run_memo_bench(SMOKE, jobs=1)
+    assert [(c["policy"], c["mix"]) for c in document["cases"]] == MEMO_CASES
+    assert list(document["memo"]) == ["campaign"]
+    assert document["memo"]["campaign"]["verified_identical"] is True
+
+    comparison = compare_benches(
+        document, load_bench(MEMO_BASELINE), threshold=0.5
+    )
+    assert [(c.policy, c.mix) for c in comparison.cases] == MEMO_CASES
+    assert comparison.missing_cases == []
+
+
+def test_memo_bench_refuses_differing_bytes(monkeypatch):
+    """A cache-served pass whose result files differ fails the bench."""
+    real = memo_bench._result_bytes
+
+    def skewed(directory):
+        found = real(directory)
+        if Path(directory).name == "warm":
+            found["extra.json"] = b"{}"
+        return found
+
+    monkeypatch.setattr(memo_bench, "_result_bytes", skewed)
+    with pytest.raises(MemoBenchError, match="byte-identical"):
+        run_memo_bench(SMOKE, jobs=1)

@@ -1,12 +1,21 @@
-"""Snapshot/restore tests: split-run equivalence, gated by goldens.
+"""Resumability and straight-through tests, gated by goldens.
 
-The warm-start contract (ISSUE 4): ``run_until(w, w)`` + snapshot +
-restore + ``run_until(total, w)`` must be *byte-identical* to the cold
+The engine stays resumable: ``run_until(w, w)`` + snapshot + restore +
+``run_until(total, w)`` must be *byte-identical* to the cold
 ``run(total, warmup_cycles=w)`` — gated against the committed golden
-digests, so a divergence fails even if warm and cold drift together.
+digests, so a divergence fails even if the two paths drift together.
+
+``run_one`` and the forecaster run straight through: neither keys,
+snapshots nor restores a warm-up (each is simulated once), which the
+``never_snapshots`` fixture enforces while their outputs are pinned to
+``tests/goldens/determinism.json`` and ``tests/goldens/forecast.json``.
+The post-warm-up snapshot store itself stays only because the
+benchmark in ``perfbench/`` still imports its names; its key and LRU
+tests remain below.
 """
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -28,18 +37,13 @@ from repro.core import make_policy
 from repro.engine import Simulation, Workload
 from repro.experiments.common import SMOKE, run_one
 from repro.forecast import Forecaster
-from repro.memo.snapshots import (
-    SNAPSHOT_MEMO_ENV,
-    SnapshotStore,
-    reset_shared_snapshot_store,
-    shared_snapshot_store,
-    warm_prefix_key,
-)
+from repro.memo import snapshots
+from repro.memo.snapshots import SnapshotStore, warm_prefix_key
 from repro.workloads.mixes import mix_profiles
 
-GOLDENS = json.loads(
-    (Path(__file__).parent / "goldens" / "determinism.json").read_text()
-)
+GOLDEN_DIR = Path(__file__).parent / "goldens"
+GOLDENS = json.loads((GOLDEN_DIR / "determinism.json").read_text())
+FORECAST_GOLDENS = json.loads((GOLDEN_DIR / "forecast.json").read_text())
 
 
 def golden_workload() -> Workload:
@@ -70,8 +74,8 @@ def test_snapshot_restore_matches_golden_digest(policy_name):
         return result
 
     assert simulation_digest(measured_from(snap)) == GOLDENS[policy_name]
-    # The snapshot must survive being restored twice (the store serves
-    # many units from one entry) — a restore must not consume it.
+    # The snapshot must survive being restored twice — a restore must
+    # not consume it.
     assert simulation_digest(measured_from(snap)) == GOLDENS[policy_name]
 
 
@@ -92,8 +96,7 @@ def test_split_run_matches_one_shot_on_random_windows(
 
     Fractional epoch counts land the warmup boundary, and so the
     snapshot, in the middle of bursts and epochs.  The full RunRecord
-    payload and the trace cursors must still agree bit-for-bit — the
-    exactness ``run_one``'s snapshot store relies on.
+    payload and the trace cursors must still agree bit-for-bit.
     """
     config = SMOKE.system()
     epoch = config.dueling.epoch_cycles
@@ -139,77 +142,66 @@ def test_restore_rejects_core_count_mismatch():
 
 
 @pytest.fixture
-def snapshot_env(monkeypatch):
-    """Enable a fresh shared store; restore global state afterwards."""
-    monkeypatch.setenv(SNAPSHOT_MEMO_ENV, "1")
-    reset_shared_snapshot_store()
-    yield
-    reset_shared_snapshot_store()
+def never_snapshots(monkeypatch):
+    """Make any use of the snapshot path raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a simulation path used the snapshot store")
+
+    monkeypatch.setattr(Simulation, "snapshot", refuse)
+    monkeypatch.setattr(Simulation, "restore", refuse)
+    monkeypatch.setattr(snapshots, "warm_prefix_key", refuse)
 
 
-def _run_one_golden(policy_name):
-    return run_one(
+@pytest.mark.parametrize("policy_name", GOLDEN_POLICIES)
+def test_run_one_never_snapshots(policy_name, never_snapshots):
+    """``run_one`` reproduces the goldens without keying or copying."""
+    result = run_one(
         SMOKE.system(),
         make_policy(policy_name),
         golden_workload(),
         warmup_epochs=GOLDEN_WARMUP_EPOCHS,
         measure_epochs=GOLDEN_EPOCHS,
     )
+    assert simulation_digest(result) == GOLDENS[policy_name]
 
 
-@pytest.mark.parametrize("policy_name", GOLDEN_POLICIES)
-def test_run_one_warm_path_is_invisible(policy_name, snapshot_env):
-    """Miss (populates), hit, and cold paths all yield the golden digest."""
-    store = shared_snapshot_store()
-    miss = _run_one_golden(policy_name)
-    assert store.hits == 0 and len(store) == 1
-    hit = _run_one_golden(policy_name)
-    assert store.hits == 1
-
-    assert simulation_digest(miss) == GOLDENS[policy_name]
-    assert simulation_digest(hit) == GOLDENS[policy_name]
-
-
-def test_run_one_with_store_disabled(monkeypatch):
-    monkeypatch.setenv(SNAPSHOT_MEMO_ENV, "0")
-    reset_shared_snapshot_store()
-    assert shared_snapshot_store() is None
-    result = _run_one_golden("bh")
-    assert simulation_digest(result) == GOLDENS["bh"]
+def forecast_digest(result) -> str:
+    """SHA-256 over a forecast's points, stop flag and horizon."""
+    payload = {
+        "points": [
+            [float(v).hex() for v in (p.time_seconds, p.capacity_fraction,
+                                      p.ipc, p.hit_rate,
+                                      p.nvm_bytes_per_second)]
+            for p in result.points
+        ],
+        "reached_stop": bool(result.reached_stop),
+        "horizon": float(result.horizon_seconds).hex(),
+    }
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("ascii")).hexdigest()
 
 
-def test_forecaster_warm_start_is_invisible(snapshot_env, monkeypatch):
-    """Forecast points are identical cold, on a miss, and on a hit."""
+@pytest.mark.parametrize("policy_name", sorted(FORECAST_GOLDENS))
+def test_forecast_matches_golden_digest(policy_name, never_snapshots):
+    """Three simulation phases reproduce the committed bits.
+
+    Two aging advances and fault-map reconciles run between them;
+    ``cp_sd`` ages by byte and ``lhybrid`` by frame, so both aging
+    kernels are covered.
+    """
     config = SMOKE.system()
     epoch = config.dueling.epoch_cycles
-
-    def forecast():
-        return Forecaster(
-            config,
-            make_policy("cp_sd"),
-            golden_workload(),
-            phase_cycles=epoch * 1.0,
-            initial_warmup_cycles=epoch * 0.5,
-            rewarm_cycles=epoch * 0.25,
-            max_steps=2,
-        ).run()
-
-    monkeypatch.setenv(SNAPSHOT_MEMO_ENV, "0")
-    reset_shared_snapshot_store()
-    cold = forecast()
-    monkeypatch.setenv(SNAPSHOT_MEMO_ENV, "1")
-    reset_shared_snapshot_store()
-    miss = forecast()
-    store = shared_snapshot_store()
-    assert len(store) == 1
-    hit = forecast()
-    assert store.hits == 1
-
-    assert miss.points == cold.points
-    assert hit.points == cold.points
-    assert (miss.reached_stop, miss.horizon_seconds) == (
-        cold.reached_stop, cold.horizon_seconds,
-    )
+    result = Forecaster(
+        config,
+        make_policy(policy_name),
+        golden_workload(),
+        phase_cycles=epoch * 1.0,
+        initial_warmup_cycles=epoch * 0.5,
+        rewarm_cycles=epoch * 0.25,
+        max_steps=3,
+    ).run()
+    assert forecast_digest(result) == FORECAST_GOLDENS[policy_name]
 
 
 def test_warm_prefix_key_sensitivity():
