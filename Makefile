@@ -1,21 +1,12 @@
 # Convenience targets; scripts/ci.sh is the canonical gate.
 
-.PHONY: ci test bench bench-parallel bench-memo explore bench-explore
+.PHONY: ci test bench-memo explore bench-explore
 
 ci:
 	scripts/ci.sh
 
 test:
 	PYTHONPATH=src python -m pytest -x -q
-
-# Full engine bench against the committed baseline.
-bench:
-	PYTHONPATH=src python -m repro bench --scale smoke \
-		--baseline benchmarks/results/BENCH_engine.json
-
-# Campaign scaling bench (pool vs isolated, jobs sweep).
-bench-parallel:
-	PYTHONPATH=src python -m repro bench --jobs auto
 
 # Full design-space sweep: 1008 configurations through the analytical
 # screening tier, the 16 survivors confirmed with real simulations,
@@ -31,10 +22,9 @@ bench-explore:
 	PYTHONPATH=src python -m repro bench --explore --scale smoke \
 		--out $$(mktemp -d)
 
-# Memoization bench: cold vs cache-served campaign (verified
-# byte-identical), gated against the committed artefact.  Wall-clock ratios of the tiny warm pass are noisy, hence
-# the generous threshold; correctness is asserted inside the bench.
+# Memoization bench: cold vs cache-served campaign.  It fails on any
+# cache miss in the second pass or any byte difference between the
+# two passes' results; its timings are recorded, not gated.
 bench-memo:
 	PYTHONPATH=src python -m repro bench --memo --scale smoke \
-		--out $$(mktemp -d) \
-		--baseline benchmarks/results/BENCH_memo.json --threshold 0.5
+		--out $$(mktemp -d)

@@ -1,17 +1,20 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: the full test suite plus a fast performance smoke.
+# Tier-1 CI gate: the test suite and digest-checked perfbench passes,
+# the artefact, durability, analytical, explorer and workload gates, and
+# a same-host speed gate.
 #
 # Usage: scripts/ci.sh
 #   [--skip-tests|--skip-bench|--skip-memo|--skip-schema|--skip-durability|
 #    --skip-analytical|--skip-workloads]
 #
-# The bench leg runs a *reduced* matrix (3 policies x 1 mix, smoke
-# scale, best-of-3) against the committed full-matrix baseline —
-# `compare_benches` scores the geomean of *matched* per-case ratios,
-# so the skipped cells do not skew the verdict.  A geomean regression
-# beyond the threshold exits non-zero.  The reduced matrix keeps this
-# leg well under two minutes; the full matrix remains available via
-# `python -m repro bench` directly.
+# The bench leg times perfbench's `matrix` workload on the working tree
+# and on a reference commit, in five alternating pairs on this host.
+# The reference is HEAD when src/, perfbench/ or tests/goldens hold
+# uncommitted work, and HEAD~1 otherwise.  The leg fails when the
+# change's median sim_mips falls below (1 - bound) x the reference's,
+# with the bound read from BENCHMARK.json; no timing recorded on another
+# host is ever loaded.  It takes a few minutes; --skip-bench skips it
+# (for instance in a shallow clone that has no HEAD~1).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,16 +76,63 @@ if [[ "$RUN_SCHEMA" == 1 ]]; then
 fi
 
 if [[ "$RUN_BENCH" == 1 ]]; then
-  echo "== ci: bench regression smoke (reduced matrix) =="
-  python -m repro bench \
-    --scale smoke \
-    --label ci_smoke \
-    --policies bh,ca_rwr,cp_sd \
-    --mixes mix1 \
-    --repeats 3 \
-    --out "$TMP_ROOT/bench" \
-    --baseline benchmarks/results/BENCH_engine.json \
-    --threshold 0.25
+  echo "== ci: same-host speed gate (perfbench matrix, change vs reference) =="
+  if [[ -n "$(git status --porcelain -- src perfbench tests/goldens)" ]]; then
+    REF=HEAD
+  else
+    REF=HEAD~1
+  fi
+  if ! git rev-parse --verify --quiet "$REF^{commit}" >/dev/null; then
+    echo "FAIL: reference commit $REF does not exist (--skip-bench skips this leg)" >&2
+    exit 1
+  fi
+  # Each side runs from its own copy, against its own perfbench
+  # references and golden digests, so every run must also be correct.
+  mkdir -p "$TMP_ROOT/ref" "$TMP_ROOT/change/tests"
+  git archive "$REF" src perfbench tests/goldens | tar -x -C "$TMP_ROOT/ref"
+  cp -r src perfbench "$TMP_ROOT/change/"
+  cp -r tests/goldens "$TMP_ROOT/change/tests/"
+  python3 - "$TMP_ROOT" "$REF" <<'PY'
+import json, os, statistics, subprocess, sys
+
+root, ref = sys.argv[1], sys.argv[2]
+bound = next(m["bound"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]
+             if m["name"] == "sim_mips")
+# Without PYTHONPATH, each side imports only the src/ that its own
+# perfbench/run.py puts on the path.
+env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+samples = {"ref": [], "change": []}
+for pair in range(5):
+    for side in ("ref", "change") if pair % 2 == 0 else ("change", "ref"):
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", "matrix",
+             "--seed", "0", "--seconds", "1"],
+            cwd=os.path.join(root, side), env=env, capture_output=True,
+            text=True)
+        try:
+            result = json.loads(proc.stdout.strip().splitlines()[-1])
+        except (IndexError, ValueError):
+            result = {}
+        if proc.returncode != 0 or result.get("correct") is not True:
+            sys.stdout.write(proc.stdout)
+            sys.stderr.write(proc.stderr)
+            print(f"FAIL: {side} run of pair {pair + 1} exited "
+                  f"{proc.returncode}, correct={result.get('correct')}",
+                  file=sys.stderr)
+            sys.exit(1)
+        samples[side].append(result["metrics"]["sim_mips"]["value"])
+        print(f"pair {pair + 1} {side:6s} sim_mips "
+              f"{samples[side][-1]:.3f}", flush=True)
+ref_median = statistics.median(samples["ref"])
+change_median = statistics.median(samples["change"])
+ratio = change_median / ref_median
+print(f"sim_mips median: change {change_median:.3f} vs {ref} "
+      f"{ref_median:.3f}, ratio {ratio:.3f} (floor {1 - bound:.2f})")
+if ratio < 1 - bound:
+    print(f"FAIL: matrix sim_mips fell by more than the {bound:.0%} bound",
+          file=sys.stderr)
+    sys.exit(1)
+PY
 fi
 
 if [[ "$RUN_MEMO" == 1 ]]; then
@@ -90,7 +140,7 @@ if [[ "$RUN_MEMO" == 1 ]]; then
   # `bench --memo` runs a reduced campaign twice against one result
   # cache and *raises* unless the second pass is served entirely from
   # cache with byte-identical results — so this leg is a correctness
-  # gate, not a timing one; no baseline comparison needed here.
+  # gate, not a timing one.
   python -m repro bench --memo --scale smoke --out "$TMP_ROOT/memo"
 fi
 
@@ -145,6 +195,13 @@ if [[ "$RUN_ANALYTICAL" == 1 ]]; then
     exit 1
   fi
   python -m repro doctor --strict "$TMP_ROOT/explore"
+
+  echo "== ci: explorer leverage floor (full default space) =="
+  # `bench --explore` exits 1 when screening the 1008-point space and
+  # confirming its survivors costs less than 50x fewer simulated
+  # instructions than simulating every point.  It counts instructions,
+  # not seconds, so the gate is deterministic.
+  python -m repro bench --explore --scale smoke --out "$TMP_ROOT/explore_bench"
 fi
 
 if [[ "$RUN_WORKLOADS" == 1 ]]; then

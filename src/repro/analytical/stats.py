@@ -136,13 +136,6 @@ class CoreStatistics:
             return full + counts[..., idx] * frac
         return full + counts[..., idx]
 
-    def hit_fraction(self, capacity_blocks: float) -> float:
-        """P(reuse distance < capacity) over all traffic (cold = miss)."""
-        total = self.counts.sum() + self.cold.sum()
-        if total <= 0:
-            return 0.0
-        return float(self.below(self.counts, capacity_blocks).sum() / total)
-
 
 @dataclass
 class WorkloadStatistics:

@@ -30,7 +30,6 @@ from ..nvm.faultmap import FaultMap
 from ..nvm.wear import WearTracker
 from .block import BlockMeta, MetadataTable, ReuseClass
 from .cacheset import NVM, SRAM, CacheSet
-from .replacement import usable_invalid_way
 from .stats import LLCStats
 
 SizeFn = Callable[[int], Tuple[int, int]]
@@ -289,7 +288,7 @@ class HybridLLC:
 
         Runs once per LLC fill; the invalid-way scan (the common case)
         and the victim-eviction/insert bookkeeping are inlined here
-        rather than routed through :func:`usable_invalid_way` /
+        rather than routed through :func:`.replacement.usable_invalid_way` /
         :meth:`CacheSet.evict` / :meth:`CacheSet.insert`.  Policy
         decisions (``placement`` / ``choose_victim`` / migration) stay
         virtual calls — they are the policies' interface.
@@ -443,22 +442,6 @@ class HybridLLC:
         stats.bypasses += 1
         self._to_memory(ctx.addr, ctx.dirty)
         return False
-
-    def _slot_for(
-        self, cache_set: CacheSet, part: int, ctx: FillContext
-    ) -> Optional[int]:
-        """Reference slot selection (kept for tests/inspection; the hot
-        path in :meth:`_insert` inlines the same logic)."""
-        if part == GLOBAL:
-            for p in (SRAM, NVM):
-                way = usable_invalid_way(cache_set, p, ctx.ecb, self.capacity_of)
-                if way is not None:
-                    return way
-        else:
-            way = usable_invalid_way(cache_set, part, ctx.ecb, self.capacity_of)
-            if way is not None:
-                return way
-        return self.policy.choose_victim(cache_set, part, ctx)
 
     def _retire(
         self, cache_set: CacheSet, victim: EvictedBlock, migrating: bool

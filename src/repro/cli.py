@@ -9,7 +9,9 @@ Commands
 ``figure``    — regenerate one of the paper's tables/figures
 ``ablation``  — run one of the design-choice ablations
 ``campaign``  — fault-tolerant multi-experiment run with resume
-``bench``     — engine speed benchmark with baseline regression gate
+``bench``     — correctness benches: the result cache's byte-identity
+                (``--memo``) and the explorer's instruction floor
+                (``--explore``)
 ``export``    — convert RunRecord artefacts to json/csv/jsonl/prom,
                 or ``--check`` committed artefacts for schema drift
 ``doctor``    — audit artefact integrity (envelopes, checksums,
@@ -444,37 +446,20 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _print_comparison_detail(comparison) -> None:
-    """Phase-delta table + host-mismatch warnings of a bench diff."""
-    if comparison.phases:
-        print("  phase breakdown (current vs baseline):")
-        for ph in comparison.phases:
-            print(
-                f"    {ph.phase:20s} {ph.current_seconds:7.2f}s vs "
-                f"{ph.baseline_seconds:7.2f}s  {ph.ratio:5.2f}x"
-            )
-    for warning in comparison.host_warnings:
-        print(f"  WARNING: {warning}")
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     from .bench import (
-        BenchMatrix,
-        compare_benches,
-        load_bench,
-        run_bench,
-        run_parallel_bench,
+        ExploreBenchError,
+        MemoBenchError,
+        run_explore_bench,
+        run_memo_bench,
         write_bench,
     )
 
     scale = _resolve_scale(args.scale)
 
     if args.explore:
-        from .bench.explore import ExploreBenchError, run_explore_bench
-
-        label = args.label if args.label != "engine" else "explore"
         try:
-            document = run_explore_bench(scale, label=label, progress=print)
+            document = run_explore_bench(scale, progress=print)
         except ExploreBenchError as exc:
             print(f"explore bench FAILED: {exc}", file=sys.stderr)
             return 1
@@ -488,98 +473,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         return 0
 
-    if args.memo:
-        from .bench.memo import MemoBenchError, run_memo_bench
-
-        if args.jobs is None:
-            jobs = 2
-        else:
-            try:
-                jobs = int(args.jobs)
-            except ValueError:
-                raise UsageError(
-                    "--memo takes a single integer --jobs value"
-                ) from None
-        label = args.label if args.label != "engine" else "memo"
-        try:
-            document = run_memo_bench(
-                scale, label=label, jobs=jobs, progress=print
-            )
-        except MemoBenchError as exc:
-            print(f"memo bench FAILED: {exc}", file=sys.stderr)
-            return 1
-        path = write_bench(document, args.out)
-        print(f"wrote {path}")
-        memo = document["memo"]
-        print(
-            f"warm campaign speedup {memo['campaign']['speedup']:.1f}x "
-            f"({memo['campaign']['units']} units, byte-identical)"
-        )
-        if args.baseline is None:
-            return 0
-        comparison = compare_benches(
-            document, load_bench(args.baseline), threshold=args.threshold
-        )
-        for case in comparison.cases:
-            print(f"  {case.policy:14s} {case.mix:12s} {case.ratio:5.2f}x")
-        _print_comparison_detail(comparison)
-        print(comparison.summary())
-        return 0 if comparison.ok else 1
-
-    if args.jobs is not None:
-        from .bench.parallel import _parse_jobs_spec
-
-        try:
-            jobs_values = _parse_jobs_spec(args.jobs)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        label = args.label if args.label != "engine" else "parallel"
-        document = run_parallel_bench(
-            scale, jobs_values=jobs_values, label=label, progress=print
-        )
-        path = write_bench(document, args.out)
-        print(f"wrote {path}")
-        warm = document["warm_pool"]
-        print(
-            f"warm-pool advantage {warm['advantage_geomean']:.2f}x "
-            f"over {warm['warm_tasks']} tasks; efficiency at max jobs "
-            f"{document['scaling'][-1]['efficiency']:.2f}"
-        )
-        return 0
-    policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
-    for name in policies:
-        _check_choice("policy", name, registered_policies())
-    mixes = tuple(m.strip() for m in args.mixes.split(",") if m.strip())
-    for name in mixes:
-        _check_choice("mix", name, MIX_NAMES)
-    matrix = BenchMatrix(
-        policies=policies,
-        mixes=mixes,
-        epochs=args.epochs,
-        warmup_epochs=args.warmup_epochs,
-        seed=args.seed,
-        repeats=args.repeats,
-    )
-    document = run_bench(scale, matrix=matrix, label=args.label, progress=print)
+    try:
+        document = run_memo_bench(scale, jobs=args.jobs, progress=print)
+    except MemoBenchError as exc:
+        print(f"memo bench FAILED: {exc}", file=sys.stderr)
+        return 1
     path = write_bench(document, args.out)
     print(f"wrote {path}")
+    memo = document["memo"]
     print(
-        f"geomean {document['geomean_mcycles_per_s']:.3f} Mcycles/s "
-        f"over {len(document['cases'])} cases"
+        f"warm campaign speedup {memo['campaign']['speedup']:.1f}x "
+        f"({memo['campaign']['units']} units, byte-identical)"
     )
-
-    if args.baseline is None:
-        return 0
-    comparison = compare_benches(
-        document, load_bench(args.baseline), threshold=args.threshold
-    )
-    for case in comparison.cases:
-        print(f"  {case.policy:10s} {case.mix:6s} {case.ratio:5.2f}x")
-    for missing in comparison.missing_cases:
-        print(f"  {missing}: not in baseline")
-    _print_comparison_detail(comparison)
-    print(comparison.summary())
-    return 0 if comparison.ok else 1
+    return 0
 
 
 def cmd_export(args: argparse.Namespace) -> int:
@@ -854,41 +760,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser(
-        "bench", help="benchmark engine speed, optionally gate on a baseline"
+        "bench",
+        help="correctness benches: cache-served campaign byte-identity "
+             "(--memo) or the explorer's 50x instruction floor (--explore)",
     )
     p.add_argument("--scale", default=argparse.SUPPRESS,
                    help="smoke | default | full | paper (default: env)")
-    p.add_argument("--label", default="engine",
-                   help="artefact name: BENCH_<label>.json")
-    p.add_argument("--policies", default=",".join(
-        ("bh", "bh_cp", "lhybrid", "tap", "ca", "ca_rwr", "cp_sd")),
-        help="comma-separated policy names")
-    p.add_argument("--mixes", default="mix1,mix4",
-                   help="comma-separated mix names")
-    p.add_argument("--epochs", type=float, default=2.0)
-    p.add_argument("--warmup-epochs", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=1,
-                   help="timing repeats per case (best-of is reported)")
-    p.add_argument("--jobs", default=None, metavar="SPEC",
-                   help="parallel scaling mode: run bench_cells campaigns "
-                        "at these job counts ('auto' = 1 and cpu_count, or "
-                        "e.g. '1,4,8'); writes BENCH_parallel.json")
-    p.add_argument("--memo", action="store_true",
-                   help="memoization mode: time a cold vs cache-served "
-                        "campaign pass (verified byte-identical); writes "
-                        "BENCH_memo.json")
-    p.add_argument("--explore", action="store_true",
-                   help="explorer mode: run the full default design space "
-                        "through the analytical screening tier, measure "
-                        "the simulated-instruction speedup vs exhaustive "
-                        "(gated at 50x); writes BENCH_explore.json")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--memo", action="store_true",
+                      help="time a cold vs cache-served campaign pass, "
+                           "verified byte-identical; writes BENCH_memo.json")
+    mode.add_argument("--explore", action="store_true",
+                      help="run the full default design space through the "
+                           "analytical screening tier and gate the "
+                           "simulated-instruction speedup over exhaustive "
+                           "simulation at 50x; writes BENCH_explore.json")
+    p.add_argument("--jobs", type=int, default=2,
+                   help="campaign workers of the memo bench (default: 2)")
     p.add_argument("--out", default="benchmarks/results", metavar="DIR",
-                   help="directory for BENCH_<label>.json")
-    p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="BENCH_*.json to diff against; regression exits 1")
-    p.add_argument("--threshold", type=float, default=0.10,
-                   help="allowed geomean ratio band around 1.0")
+                   help="directory for BENCH_memo.json / BENCH_explore.json")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-from .encodings import BLOCK_SIZE, Encoding, classify, ecb_size
+from .encodings import BLOCK_SIZE, Encoding, ecb_size
 
 
 @dataclass(frozen=True)
@@ -29,10 +29,6 @@ class CompressionResult:
     def ecb_size(self) -> int:
         """Bytes actually written to an NVM frame (payload + CE + SECDED)."""
         return ecb_size(self.encoding.size)
-
-    @property
-    def compression_class(self) -> str:
-        return classify(self.encoding.size)
 
     @property
     def is_compressed(self) -> bool:

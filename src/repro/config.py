@@ -201,9 +201,6 @@ class SystemConfig:
     def with_nvm_latency_factor(self, factor: float) -> "SystemConfig":
         return replace(self, latency=self.latency.scaled_nvm(factor))
 
-    def with_dueling(self, dueling: SetDuelingConfig) -> "SystemConfig":
-        return replace(self, dueling=dueling)
-
 
 def paper_system(
     n_sets: int = 1024,

@@ -19,9 +19,8 @@ import copy
 import gc
 import heapq
 import logging
-import time
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .cache.hierarchy import MemoryHierarchy
 from .cache.stats import HierarchyStats
@@ -219,10 +218,6 @@ class Simulation:
         self._cursors = [0] * workload.n_cores
         self._next_epoch = float(config.dueling.epoch_cycles)
         self._epoch_index = 0
-        #: Wall-clock breakdown of the most recent run —
-        #: ``{"total_s", "epoch_bookkeeping_s", "access_path_s",
-        #: "records"}``; read by the bench's per-phase report.
-        self.last_phase_timings: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     def run(
@@ -285,12 +280,7 @@ class Simulation:
         warmup_cycles: float,
         record_epochs: bool,
     ) -> SimulationResult:
-        """Core loop; ``cycles``/``warmup_cycles`` are absolute.
-
-        Also records :attr:`last_phase_timings` for the bench's
-        per-phase report — telemetry only, it never feeds back into
-        simulation state.
-        """
+        """Core loop; ``cycles``/``warmup_cycles`` are absolute."""
         sim = self
         hierarchy = sim.hierarchy
         cores = sim.cores
@@ -325,10 +315,6 @@ class Simulation:
         heapq.heapify(heap)
         heappop = heapq.heappop
         heappush = heapq.heappush
-        perf = time.perf_counter
-        epoch_s = 0.0
-        records_done = 0
-        t_run = perf()
         # The loop allocates short-lived acyclic objects (heap tuples,
         # fill contexts) at a rate that keeps the cyclic GC's gen-0
         # scanning busy for nothing — refcounting already frees them.
@@ -340,9 +326,7 @@ class Simulation:
             while heap:
                 now, core_id = heappop(heap)
                 if (not warmed and now >= warmup_cycles) or now >= next_epoch:
-                    # Structural boundary bookkeeping — rare, so timing
-                    # it exactly costs one comparison per burst.
-                    t0 = perf()
+                    # Structural boundary bookkeeping (rare).
                     if not warmed and now >= warmup_cycles:
                         hierarchy.reset_stats()
                         epoch_snap = hierarchy.stats.llc.snapshot()
@@ -369,7 +353,6 @@ class Simulation:
                         epoch_snap = llc_stats.snapshot()
                         epoch_index += 1
                         next_epoch += epoch_cycles
-                    epoch_s += perf() - t0
                 if now >= cycles:
                     continue  # this core is done; drain the rest
                 # Burst: stop early at the next epoch/warmup/end boundary
@@ -385,8 +368,7 @@ class Simulation:
                 penalty = core._penalty
                 instructions = core.instructions
                 new_time = core.cycles
-                i = -1
-                for i in range(burst):
+                for _ in range(burst):
                     gap = gaps[cursor]
                     addr = addrs[cursor]
                     is_write = writes[cursor]
@@ -399,7 +381,6 @@ class Simulation:
                     new_time += penalty[level]
                     if new_time >= stop_at:
                         break
-                records_done += i + 1
                 cursors[core_id] = cursor
                 core.instructions = instructions
                 core.cycles = new_time
@@ -408,13 +389,6 @@ class Simulation:
             if gc_was_enabled:
                 gc.enable()
 
-        total_s = perf() - t_run
-        sim.last_phase_timings = {
-            "total_s": total_s,
-            "epoch_bookkeeping_s": epoch_s,
-            "access_path_s": total_s - epoch_s,
-            "records": records_done,
-        }
         sim._next_epoch = next_epoch
         sim._epoch_index = epoch_index
         ipcs = []

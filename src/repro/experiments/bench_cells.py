@@ -1,11 +1,11 @@
 """Benchmark cells: the campaign-schedulable unit of engine work.
 
-``repro bench --jobs`` measures how campaign throughput scales with
-worker count and execution mode (persistent pool vs per-task
-processes).  For that it needs a matrix of *uniform, independently
-runnable* tasks whose compute is pure engine work — so this module
-packages one (policy, mix) simulation cell as a registered campaign
-experiment.
+The memo bench (``repro bench --memo``) runs a campaign twice against
+one result cache and checks that the cache-served pass is
+byte-identical to the computed one.  For that it needs a matrix of
+*uniform, independently runnable* tasks whose compute is pure engine
+work — so this module packages one (policy, mix) simulation cell as a
+registered campaign experiment.
 
 Units deliberately report only deterministic counters (accesses,
 hits, bytes, IPC) and no wall-clock numbers: the scheduler measures
@@ -26,25 +26,21 @@ from typing import List
 from ..core import make_policy
 from .common import ExperimentScale, run_one
 
-#: Policy matrix of one scaling run: the paper's baselines + proposals
-#: (same set the engine bench times), giving several same-mix cells in
-#: a row so warm-pool reuse has something to reuse.
+#: Policy matrix of the memo bench's campaign: the paper's baselines
+#: and proposals, several same-mix cells in a row.
 BENCH_CELL_POLICIES = ("bh", "bh_cp", "lhybrid", "tap", "ca", "ca_rwr", "cp_sd")
 
-#: Cells per mix are what matters for warm reuse, not mix variety.
+#: The first two mixes of the scale keep the campaign short.
 BENCH_CELL_MIXES = 2
 
-#: Deliberately short cells: the scaling bench measures what the
-#: *harness* adds per task (dispatch, process setup, cache rebuilds),
-#: so the engine work inside each cell is kept small enough not to
-#: drown the quantity under measurement.  Engine speed itself has its
-#: own benchmark (``repro bench`` without ``--jobs``).
+#: Deliberately short cells: the memo bench checks the result cache
+#: and harness, not the engine, whose speed perfbench measures.
 BENCH_CELL_EPOCHS = 1.0
 BENCH_CELL_WARMUP_EPOCHS = 0.25
 
 
 def enumerate_bench_cell_units(scale: ExperimentScale) -> List[dict]:
-    """One unit per (mix, policy): every cell of the scaling matrix."""
+    """One unit per (mix, policy): every cell of the campaign."""
     return [
         {"mix": mix, "policy": policy, "seed": 0}
         for mix in scale.mixes[:BENCH_CELL_MIXES]

@@ -81,7 +81,7 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {
             "bench_cells",
             enumerate_bench_cell_units,
             run_bench_cell_unit,
-            "uniform (policy x mix) engine cells for scaling benchmarks",
+            "uniform (policy x mix) engine cells: the memo bench's campaign",
         ),
     )
 }
@@ -89,7 +89,7 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {
 #: Experiments scheduled by a default ``repro campaign`` run: the
 #: paper's figures and tables.  ``bench_cells`` reproduces nothing and
 #: is deliberately excluded — it runs only when named explicitly
-#: (``--experiments bench_cells`` or ``repro bench --jobs``).
+#: (``--experiments bench_cells``, or the memo bench's campaign).
 EXPERIMENT_NAMES = tuple(sorted(set(EXPERIMENTS) - {"bench_cells"}))
 
 #: Every campaign-runnable experiment, benchmark cells included.

@@ -64,10 +64,6 @@ class ExperimentScale:
     def warmup_cycles(self) -> float:
         return float(self.epoch_cycles * self.warmup_epochs)
 
-    @property
-    def total_cycles(self) -> float:
-        return self.warmup_cycles + self.phase_cycles
-
     # ------------------------------------------------------------------
     def system(
         self,

@@ -48,11 +48,10 @@ def _ensure_registrations() -> None:
 
     Validation of a detached record checks its metric names against the
     registry, and some registrations live in modules ``import repro``
-    does not reach (experiment units, the bench runner).  Loading is
+    does not reach (experiment units, the explorer).  Loading is
     the one place that must see the full registry, so it imports them.
     """
     from ..analytical import model as _analytical  # noqa: F401
-    from ..bench import runner as _bench_runner  # noqa: F401
     from ..experiments import compressibility as _fig2  # noqa: F401
     from ..experiments import lifetime as _lifetime  # noqa: F401
     from ..explore import explorer as _explorer  # noqa: F401
@@ -289,20 +288,17 @@ def check_artifacts(
             continue
         for record in records:
             if record.kind == "bench":
-                # Matrix benches carry "cases"; the parallel-scaling
-                # bench carries "scaling"; the memo and explorer
-                # benches carry their namesake sections — each must
-                # keep its schema-tagged document for the consumers
-                # (``compare``, the speedup gates) to read.
+                # The memo and explorer benches carry their namesake
+                # sections in a schema-tagged document.
                 document = record.values.get("document")
                 if (
                     not isinstance(document, dict)
                     or "schema" not in document
-                    or not ({"cases", "scaling", "memo", "explore"}
-                            & set(document))
+                    or not ({"memo", "explore"} & set(document))
                 ):
                     errors.append(
-                        f"{path}: bench record has no embedded document"
+                        f"{path}: bench record has no memo or explore "
+                        "document"
                     )
 
     goldens_path = root / CHECKED_GOLDENS

@@ -18,7 +18,6 @@ Layers group metrics by producing object::
     energy     -> repro.timing.energy.EnergyBreakdown
     nvm        -> repro.nvm.wear.WearTracker
     policy     -> repro.core.policy.InsertionPolicy
-    bench      -> bench documents (repro.bench.runner)
     experiment / forecast -> experiment unit payloads
 
 ``collect(layer, obj)`` returns ``{"<layer>.<name>": value}`` for a

@@ -66,10 +66,6 @@ class FaultMap:
         """Live bytes of one frame."""
         return int(self.capacities[set_index, nvm_way])
 
-    def set_capacities(self, set_index: int) -> np.ndarray:
-        """Capacities of all NVM frames of one set (read-only view)."""
-        return self.capacities[set_index]
-
     def is_frame_dead(self, set_index: int, nvm_way: int, min_bytes: int = 1) -> bool:
         return self.capacity(set_index, nvm_way) < min_bytes
 

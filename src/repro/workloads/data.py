@@ -97,9 +97,6 @@ class DataModel:
             self._hot_bound.append(prof.hot_region_blocks)
 
     # ------------------------------------------------------------------
-    def core_of(self, addr: int) -> int:
-        return addr >> CORE_ADDR_SHIFT
-
     def _draw_size(self, addr: int) -> int:
         core = addr >> CORE_ADDR_SHIFT
         if core >= len(self.profiles):

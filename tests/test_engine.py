@@ -99,18 +99,6 @@ def test_runs_are_resumable():
     assert second.epochs[0].index > first.epochs[-1].index - 1
 
 
-def test_phase_timings_are_reported():
-    config = small_config()
-    sim = Simulation(config, make_policy("ca_rwr"), small_workload(records=2000))
-    epoch = config.dueling.epoch_cycles
-    sim.run(cycles=epoch * 1.5, warmup_cycles=epoch * 0.5)
-    timings = sim.last_phase_timings
-    assert timings["records"] > 0
-    assert timings["total_s"] >= 0.0
-    assert timings["access_path_s"] >= 0.0
-    assert timings["epoch_bookkeeping_s"] >= 0.0
-
-
 def test_same_workload_same_policy_is_deterministic():
     config = small_config()
     epoch = config.dueling.epoch_cycles

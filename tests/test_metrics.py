@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 # Import every registering module so the registry is complete.
 import repro  # noqa: F401
-import repro.bench.runner  # noqa: F401  (bench.*)
 import repro.experiments.compressibility  # noqa: F401  (fig2.*)
 import repro.experiments.lifetime  # noqa: F401  (forecast.*)
 from repro.cache.stats import CoreStats, LLCStats
@@ -234,7 +233,9 @@ def test_exporters_render_the_collected_values(sim_record):
 def test_check_artifacts_passes_on_committed_tree():
     checked, errors = check_artifacts(repo_root=REPO_ROOT)
     assert errors == []
-    assert any("BENCH_engine" in c for c in checked)
+    assert any("BENCH_memo" in c for c in checked)
+    assert any("BENCH_explore" in c for c in checked)
+    assert not any("BENCH_engine" in c for c in checked)
     assert any("determinism.json" in c for c in checked)
 
 
@@ -245,6 +246,21 @@ def test_check_artifacts_flags_drifted_extra_file(tmp_path):
     path.write_text(json.dumps(stale))
     _, errors = check_artifacts(repo_root=REPO_ROOT, extra_paths=[path])
     assert any("stale.json" in e for e in errors)
+
+
+def test_check_artifacts_flags_bench_record_without_memo_or_explore(tmp_path):
+    from repro.bench import BENCH_SCHEMA, write_bench
+
+    # An engine-rate matrix document: per-case rates and nothing else.
+    path = write_bench({
+        "schema": BENCH_SCHEMA,
+        "label": "engine",
+        "cases": [{"policy": "bh", "mix": "mix1", "mcycles_per_s": 1.0}],
+    }, tmp_path)
+    _, errors = check_artifacts(repo_root=REPO_ROOT, extra_paths=[path])
+    assert [e for e in errors if "BENCH_engine.json" in e] == [
+        f"{path}: bench record has no memo or explore document"
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""On-disk trace cache, compressed-size sidecars, scaling-bench units.
+"""On-disk trace cache, compressed-size sidecars, the memo bench's units.
 
 The invariant under test throughout: caching layers (mmap-backed disk
 hits, preloaded size sidecars, shared workloads) may change *how fast*
@@ -157,7 +157,7 @@ def test_sidecar_never_changes_simulation_results(cache_dir):
 
 
 # ----------------------------------------------------------------------
-# bench_cells units (the scaling bench's task matrix)
+# bench_cells units (the memo bench's campaign)
 
 def test_bench_cells_enumeration_and_determinism():
     from repro.experiments import ALL_EXPERIMENT_NAMES, EXPERIMENT_NAMES
@@ -178,16 +178,3 @@ def test_bench_cells_enumeration_and_determinism():
     one = dump_json(run_campaign_task("bench_cells", units[0], "smoke"))
     two = dump_json(run_campaign_task("bench_cells", units[0], "smoke"))
     assert one == two, "bench cell results must be byte-stable"
-
-
-def test_parse_jobs_spec():
-    import os
-
-    from repro.bench.parallel import _parse_jobs_spec
-
-    assert _parse_jobs_spec("1,4,2,4") == [1, 2, 4]
-    auto = _parse_jobs_spec("auto")
-    assert 1 in auto and max(1, os.cpu_count() or 1) in auto
-    for bad in ("", "0", "x", "1,-2"):
-        with pytest.raises(ValueError):
-            _parse_jobs_spec(bad)
