@@ -276,6 +276,9 @@ PY
     --timeout 300
   python -m repro export --format jsonl "$TMP_ROOT/workloads_campaign" \
     | grep -Eq '"workload_family": ?"datacenter"'
+  # Its results are simulation RunRecords, so the strict audit also
+  # validates each one against the current metric registry.
+  python -m repro doctor --strict "$TMP_ROOT/workloads_campaign"
 fi
 
 echo "== ci: OK =="

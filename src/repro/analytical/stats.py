@@ -1,8 +1,8 @@
 """Workload statistics for the analytical estimator.
 
 Everything the closed-form model needs is extracted here, once per
-workload, from the already-materialised traces and the compressed-size
-sidecar the workload cache persists:
+workload, from the already-materialised traces and the data model's
+compressed sizes:
 
 * a **reuse-distance histogram** per core (Mattson stack distances,
   computed with a Fenwick tree in O(N log N)), bucketed geometrically

@@ -13,7 +13,6 @@ with the verified speedup.  The timings are a record, not a gate.
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
 import time
@@ -26,7 +25,6 @@ from ..experiments.bench_cells import (
     BENCH_CELL_WARMUP_EPOCHS,
 )
 from ..experiments.common import ExperimentScale
-from ..workloads.cache import TRACE_CACHE_ENV
 from .artifact import BENCH_SCHEMA, host_metadata
 
 
@@ -114,20 +112,14 @@ def run_memo_bench(
     correctness defect (wrong bytes, missed hits)."""
     say = progress or (lambda message: None)
     base = Path(tempfile.mkdtemp(prefix="repro_memo_bench_"))
-    old_trace_env = os.environ.get(TRACE_CACHE_ENV)
     try:
-        # Share one trace cache across both passes and prewarm it, so
-        # the cold pass times engine + scheduler work, not one-time
-        # trace materialisation.
-        os.environ[TRACE_CACHE_ENV] = str(base / "trace_cache")
+        # Prewarm this process's workload cache: the forked pool workers
+        # inherit it, so the cold pass times engine + scheduler work,
+        # not one-time workload builds.
         for mix in scale.mixes[:BENCH_CELL_MIXES]:
             scale.workload(mix, seed=0)
         campaign = _campaign_phase(scale, base, jobs, say)
     finally:
-        if old_trace_env is None:
-            os.environ.pop(TRACE_CACHE_ENV, None)
-        else:
-            os.environ[TRACE_CACHE_ENV] = old_trace_env
         shutil.rmtree(base, ignore_errors=True)
 
     def rate(simulated_cycles: float, seconds: float) -> float:

@@ -352,7 +352,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         backoff_base=args.backoff,
         chaos=chaos,
         profile_dir=args.profile,
-        isolate_tasks=args.isolate_tasks,
         use_result_cache=not args.no_result_cache,
         result_cache_dir=args.result_cache,
     )
@@ -381,27 +380,19 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             _check_workload_list(args.workloads) if args.workloads else None
         )
 
-    # Workers inherit the environment, so pointing the trace cache at
-    # the campaign directory lets every task share materialized traces.
+    # Default the result cache to <campaign>/result_cache, so re-running
+    # or widening a campaign at the same path re-pays only
+    # never-computed units.
     import os
     from pathlib import Path
 
     from .memo.results import RESULT_CACHE_ENV
-    from .workloads.cache import TRACE_CACHE_ENV
 
-    # The overrides live only for this campaign: embedding processes
+    # The override lives only for this campaign: embedding processes
     # (the test suite, scripts) call main() repeatedly, and a leaked
     # REPRO_RESULT_CACHE pointing at a dead directory would silently
     # redirect every later campaign's cache.
-    saved_env = {
-        key: os.environ.get(key)
-        for key in (TRACE_CACHE_ENV, RESULT_CACHE_ENV)
-    }
-
-    os.environ.setdefault(TRACE_CACHE_ENV, str(Path(directory) / "trace_cache"))
-    # Same idea for completed unit results: default the result cache to
-    # a sibling of the trace cache so re-running or widening a campaign
-    # at the same path re-pays only never-computed units.
+    saved_cache_env = os.environ.get(RESULT_CACHE_ENV)
     if not args.no_result_cache:
         os.environ.setdefault(
             RESULT_CACHE_ENV, str(Path(directory) / "result_cache")
@@ -422,11 +413,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             raise UsageError(str(exc)) from None
         report = runner.run()
     finally:
-        for key, value in saved_env.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved_cache_env is None:
+            os.environ.pop(RESULT_CACHE_ENV, None)
+        else:
+            os.environ[RESULT_CACHE_ENV] = saved_cache_env
 
     status = "OK" if report.ok else "INCOMPLETE"
     cache_note = (
@@ -748,9 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inject faults, e.g. p=0.3,kinds=crash,timeout,corrupt")
     p.add_argument("--profile", default=None, metavar="DIR",
                    help="each worker dumps DIR/<task_id>.pstats")
-    p.add_argument("--isolate-tasks", action="store_true",
-                   help="fresh worker process per task attempt instead of "
-                        "the persistent warm-cache pool")
     p.add_argument("--result-cache", default=None, metavar="DIR",
                    help="content-addressed result cache directory "
                         "(default: <campaign>/result_cache, or "

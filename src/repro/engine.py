@@ -18,7 +18,6 @@ from __future__ import annotations
 import copy
 import gc
 import heapq
-import logging
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence
 
@@ -28,21 +27,10 @@ from .config import SystemConfig
 from .metrics.registry import register_metric
 from .core.policy import InsertionPolicy
 from .timing.core_model import AnalyticalCore
-from .workloads.cache import (
-    SidecarError,
-    load_or_materialize,
-    load_sizes_sidecar,
-    save_sizes_sidecar,
-)
+from .workloads.cache import load_or_materialize
 from .workloads.data import DataModel
 from .workloads.profiles import AppProfile
 from .workloads.trace import MaterializedTrace
-
-register_metric(
-    "workload", "sidecar_redraws", "count",
-    "Corrupt .sizes sidecars that were quarantined and redrawn while "
-    "building this workload (0 on a healthy cache)",
-)
 
 
 class Workload:
@@ -66,47 +54,16 @@ class Workload:
         #: part of simulation digests.
         self.family = family
         self.target = target
-        #: Corrupt sidecars this build quarantined and redrew —
-        #: collected into RunRecords so quiet corruption is visible.
-        self.sidecar_redraws = 0
         self.data_model = DataModel(self.profiles, seed=seed)
         self.traces: List[MaterializedTrace] = [
-            load_or_materialize(
-                prof, core, seed, trace_records_per_core, family=family
-            )
+            load_or_materialize(prof, core, seed, trace_records_per_core)
             for core, prof in enumerate(self.profiles)
         ]
         # Every address a replay can touch is known now; warm the data
         # model's size memo here so no simulation pays the (per-address
-        # PRNG-seeding) cost of a first-touch draw mid-run.  With the
-        # on-disk trace cache enabled, the per-address draws themselves
-        # are skipped: each trace's (csize, ecb) table persists in a
-        # sidecar keyed by the same content hash, so the whole policy
-        # matrix synthesises BDI sizes for a given trace exactly once.
-        for core, (prof, trace) in enumerate(zip(self.profiles, self.traces)):
-            try:
-                sizes = load_sizes_sidecar(
-                    prof, core, seed, trace_records_per_core, family=family
-                )
-            except SidecarError as exc:
-                logging.getLogger(__name__).warning(
-                    "corrupt sizes sidecar quarantined, redrawing: %s", exc
-                )
-                # Corrupt (now quarantined): redraw and re-persist.
-                # The draw is a pure function of (profile, seed,
-                # address), so results are unaffected — only the
-                # counter distinguishes this run from a healthy one.
-                self.sidecar_redraws += 1
-                sizes = None
-            if sizes is not None:
-                self.data_model.preload_sizes(sizes)
-            else:
-                self.data_model.prefetch_sizes(trace.addrs)
-                save_sizes_sidecar(
-                    prof, core, seed, trace_records_per_core,
-                    self.data_model.sizes_for(set(trace.addrs)),
-                    family=family,
-                )
+        # PRNG-seeding) cost of a first-touch draw mid-run.
+        for trace in self.traces:
+            self.data_model.prefetch_sizes(trace.addrs)
 
     @property
     def n_cores(self) -> int:
@@ -334,7 +291,10 @@ class Simulation:
                             base_instr[i] = core.instructions
                             base_cycles[i] = core.cycles
                         warmed = True
-                    while now >= next_epoch:
+                    # A boundary past the run's end waits for the next
+                    # run, when every core has reached it: a draining
+                    # core's overshoot must not close it early.
+                    while now >= next_epoch <= cycles:
                         llc_stats = hierarchy.stats.llc
                         delta = llc_stats.delta_since(epoch_snap)
                         winner = sim.policy.current_cpth()  # CP_th this epoch
@@ -475,9 +435,9 @@ class SimulationSnapshot:
     :meth:`Simulation.restore`.  Holds the copied mutable state plus
     the identity list of intentionally shared immutables (config,
     workload, data model) that restore must keep shared rather than
-    clone.  In-process only: the object graph hangs onto mmap-backed
-    trace views and bound methods, so it is deliberately not
-    picklable across processes.
+    clone.  In-process only: the object graph hangs onto shared trace
+    columns and bound methods, so it is deliberately not picklable
+    across processes.
     """
 
     __slots__ = ("_state", "_shared")

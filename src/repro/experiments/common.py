@@ -221,9 +221,6 @@ def _record_from_sim(sim, result, meta):
     controller = getattr(sim.policy, "controller", None)
     if controller is not None:
         record.metrics.update(REGISTRY.collect("duel", controller))
-    # Storage-health provenance: 0 on a healthy cache, so clean runs
-    # stay byte-identical while quiet corruption becomes visible.
-    record.metrics.update(REGISTRY.collect("workload", sim.workload))
     return record
 
 
@@ -260,16 +257,3 @@ def aged_capacities(
         raise RuntimeError("could not age NVM to the requested capacity")
     aging.advance(rates, dt)
     return aging.capacities()
-
-
-def geometric_mean(values) -> float:
-    """Geometric mean (used for cross-mix aggregation where noted)."""
-    vals = [v for v in values]
-    if not vals:
-        return 0.0
-    product = 1.0
-    for v in vals:
-        if v <= 0:
-            return 0.0
-        product *= v
-    return product ** (1.0 / len(vals))

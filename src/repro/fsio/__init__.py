@@ -1,8 +1,7 @@
 """Crash-consistent artifact I/O (the storage reliability floor).
 
 The reproduction is deeply stateful on disk — result cache,
-``.trc``/``.sizes`` caches, checkpoints, manifests, BENCH artefacts —
-and a torn write, ENOSPC or bit flip in any of them could silently
+checkpoints, manifests, BENCH artefacts — and a torn write, ENOSPC or bit flip in any of them could silently
 poison a resume.  This package is the one place all of
 that state flows through:
 
@@ -18,8 +17,8 @@ that state flows through:
 * :mod:`~repro.fsio.quarantine` — graceful degradation: detected
   corruption moves the entry into a ``quarantine/`` subdirectory with
   a structured reason record and the owning layer degrades (cache miss
-  → recompute, sidecar loss → redraw, checkpoint damage → resume from
-  the last valid record) instead of raising;
+  → recompute, checkpoint damage → resume from the last valid record)
+  instead of raising;
 * :mod:`~repro.fsio.doctor` — the audit behind ``repro doctor``:
   verify every artefact class's envelopes, re-validate RunRecord
   schemas, detect stale fingerprints, report a failure taxonomy.
@@ -37,11 +36,8 @@ from .durable import (
     atomic_write_json,
     dump_json,
     is_blob_payload,
-    is_binary_blob,
     read_bytes,
-    unwrap_bytes,
     unwrap_json,
-    wrap_bytes,
     wrap_json,
 )
 from .faults import (
@@ -82,12 +78,9 @@ __all__ = [
     "atomic_write_json",
     "dump_json",
     "injected_faults",
-    "is_binary_blob",
     "is_blob_payload",
     "quarantine_file",
     "read_bytes",
-    "unwrap_bytes",
     "unwrap_json",
-    "wrap_bytes",
     "wrap_json",
 ]

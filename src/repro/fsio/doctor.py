@@ -1,7 +1,7 @@
 """``repro doctor``: audit every artefact class the repo persists.
 
-One walk over campaign directories, result/trace caches, bench
-artefacts and golden digests, checking each file at the level its
+One walk over campaign directories, result caches, bench artefacts,
+explore directories and golden digests, checking each file at the level its
 format allows:
 
 * ``repro-blob/1`` envelopes — checksum, declared length, schema tag;
@@ -11,9 +11,6 @@ format allows:
   against the *current* metric registry, and annotation fingerprints
   against the live :func:`~repro.memo.fingerprint.code_fingerprint`
   (a mismatch is *stale*, reported as a warning, never corruption);
-* ``.sizes`` sidecars — envelope plus the legacy REPROSZC structure;
-* ``.trc`` traces — header magic/version/record-count vs bytes
-  present;
 * committed goldens — byte-equality with the embedded digest literal.
 
 Findings carry a defect token from the shared taxonomy (``truncated``,
@@ -32,12 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .durable import (
-    BlobError,
-    is_binary_blob,
-    is_blob_payload,
-    unwrap_json,
-)
+from .durable import BlobError, is_blob_payload, unwrap_json
 from .quarantine import QUARANTINE_DIRNAME, REASON_SUFFIX, quarantine_file
 
 PathLike = Union[str, Path]
@@ -135,7 +127,6 @@ def _category_for_schema(schema: Optional[str]) -> str:
         "repro-campaign-meta/1": "campaign-meta",
         "repro-result-cache/1": "result-cache",
         "repro-bench-artifact/1": "bench",
-        "repro-sizes/1": "sizes-sidecar",
         "repro-quarantine/1": "quarantine-reason",
         "repro-explore-meta/1": "explore-meta",
         "repro-explore-rung/1": "explore-rung",
@@ -208,39 +199,6 @@ def _check_cache_annotations(path: Path, envelope: dict) -> List[Finding]:
             severity=SEVERITY_WARN,
         )
     ]
-
-
-def _audit_sizes_file(path: Path) -> List[Finding]:
-    from ..workloads.cache import SidecarError, _parse_sidecar
-
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        return [Finding(str(path), "sizes-sidecar", "unreadable", str(exc))]
-    try:
-        _parse_sidecar(path, blob)
-    except SidecarError as exc:
-        defect = "checksum-mismatch" if is_binary_blob(blob) else "truncated"
-        # _parse_sidecar reasons already distinguish envelope defects.
-        for token in ("truncated", "checksum-mismatch", "length-mismatch",
-                      "schema-mismatch", "malformed-envelope"):
-            if token in exc.reason:
-                defect = token
-                break
-        return [Finding(str(path), "sizes-sidecar", defect, exc.reason)]
-    return []
-
-
-def _audit_trace_file(path: Path) -> List[Finding]:
-    from ..workloads.traceio import TraceFormatError, validate_trace
-
-    try:
-        validate_trace(path)
-    except TraceFormatError as exc:
-        return [Finding(str(path), "trace", "truncated", str(exc))]
-    except OSError as exc:
-        return [Finding(str(path), "trace", "unreadable", str(exc))]
-    return []
 
 
 def _audit_goldens(path: Path) -> List[Finding]:
@@ -410,10 +368,9 @@ def _audit_campaign(directory: Path, report: DoctorReport) -> List[Finding]:
         report.checked.append(str(health))
         findings.extend(_audit_json_file(health, "campaign-health"))
 
-    for sub in ("result_cache", "trace_cache"):
-        nested = directory / sub
-        if nested.is_dir():
-            findings.extend(_audit_artefact_dir(nested, report))
+    nested = directory / "result_cache"
+    if nested.is_dir():
+        findings.extend(_audit_artefact_dir(nested, report))
     return findings
 
 
@@ -436,12 +393,6 @@ def _audit_artefact_dir(directory: Path, report: DoctorReport) -> List[Finding]:
         if path.suffix == ".json":
             report.checked.append(str(path))
             findings.extend(_audit_json_file(path))
-        elif path.suffix == ".sizes":
-            report.checked.append(str(path))
-            findings.extend(_audit_sizes_file(path))
-        elif path.suffix == ".trc":
-            report.checked.append(str(path))
-            findings.extend(_audit_trace_file(path))
     return findings
 
 
@@ -459,10 +410,6 @@ def _audit_path(path: Path, report: DoctorReport) -> List[Finding]:
     report.checked.append(str(path))
     if path.name == "determinism.json" and path.parent.name == "goldens":
         return _audit_goldens(path)
-    if path.suffix == ".sizes":
-        return _audit_sizes_file(path)
-    if path.suffix == ".trc":
-        return _audit_trace_file(path)
     return _audit_json_file(path)
 
 

@@ -6,7 +6,9 @@ Two primitives everything else builds on:
   *same directory*, ``fsync`` it, ``os.replace`` over the final path,
   then ``fsync`` the parent directory so the rename survives a power
   cut.  A reader only ever sees the previous complete version or the
-  new complete version, never a torn write.
+  new complete version, never a torn write.  It returns the file's
+  SHA-256 through :func:`file_sha256_cached`, the stat-keyed hash
+  memo that checkpoint verification reads back.
 * the **blob envelope** — a versioned wrapper carrying a schema tag,
   the payload's canonical length and its SHA-256, so a reader can
   prove an artefact is the artefact its writer finished, not a prefix
@@ -17,12 +19,11 @@ Two primitives everything else builds on:
 
   where length/sha256 are computed over the *canonical JSON* rendering
   of the payload (sorted keys, compact separators), so they are stable
-  under any outer pretty-printing.  Binary artefacts (the ``.sizes``
-  sidecars) use a packed header form with the same fields.
+  under any outer pretty-printing.
 
-Both readers accept **legacy passthrough**: a document that is not an
-envelope is returned unchanged (JSON) or flagged (binary), so
-artefacts committed before this layer existed keep loading.
+The reader accepts **legacy passthrough**: a document that is not an
+envelope is returned unchanged, so artefacts committed before this
+layer existed keep loading.
 
 All reads and writes consult the active fault injector
 (:mod:`~repro.fsio.faults`), which is how ``--chaos`` disk kinds and
@@ -35,9 +36,8 @@ import errno
 import hashlib
 import json
 import os
-import struct
 from pathlib import Path
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from ..manifest import canonical_json
 from . import faults
@@ -46,12 +46,6 @@ from .health import HEALTH
 PathLike = Union[str, Path]
 
 BLOB_FORMAT = "repro-blob/1"
-
-#: Binary envelope: magic, version, schema length, payload length,
-#: payload SHA-256 (raw digest); schema bytes then payload follow.
-_BIN_MAGIC = b"REPROBLB"
-_BIN_VERSION = 1
-_BIN_HEADER = struct.Struct("<8sHHQ32s")
 
 
 class BlobError(ValueError):
@@ -85,14 +79,51 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-def _file_sha256(path: Path) -> str:
-    # Routed through the traceio stat-memo so a write immediately
-    # primes the hash the checkpoint verifier reads back.  Imported
-    # lazily to keep fsio importable without the workloads package
-    # mid-initialisation.
-    from ..workloads.traceio import file_sha256_cached
+def file_sha256(path: PathLike, chunk_size: int = 1 << 20) -> str:
+    """Hex SHA-256 of a file's bytes (streamed, any size)."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(chunk_size)
+            if not chunk:
+                break
+            digest.update(chunk)
+    return digest.hexdigest()
 
-    return file_sha256_cached(path)
+
+#: ``path -> (size, mtime_ns, ino, ctime_ns, digest)`` memo behind
+#: :func:`file_sha256_cached`; bounded so a huge campaign cannot grow
+#: it without limit.
+_SHA256_CACHE: Dict[str, Tuple[int, int, int, int, str]] = {}
+_SHA256_CACHE_MAX = 65536
+
+
+def file_sha256_cached(path: PathLike) -> str:
+    """:func:`file_sha256` memoized by the file's full stat identity.
+
+    Resuming a large campaign re-verifies every completed artefact;
+    re-hashing gigabytes of unchanged results dominates that startup.
+    A file whose size, mtime (nanosecond resolution), inode *and*
+    ctime are all unchanged since the last hash is served from the
+    memo; any stat change invalidates the entry and re-hashes.
+
+    Size+mtime alone is not enough: an atomic rewrite (``os.replace``
+    of a same-sized temp file) can land within one mtime tick on
+    coarse-granularity filesystems, leaving size and mtime identical
+    while the bytes changed.  The rename gives the path a *new inode*
+    (and a fresh ctime), so keying on those too closes the hole.
+    """
+    key = os.fspath(path)
+    stat = os.stat(key)
+    identity = (stat.st_size, stat.st_mtime_ns, stat.st_ino, stat.st_ctime_ns)
+    entry = _SHA256_CACHE.get(key)
+    if entry is not None and entry[:4] == identity:
+        return entry[4]
+    digest = file_sha256(key)
+    if len(_SHA256_CACHE) >= _SHA256_CACHE_MAX:
+        _SHA256_CACHE.clear()
+    _SHA256_CACHE[key] = identity + (digest,)
+    return digest
 
 
 def atomic_write_bytes(path: PathLike, data: bytes) -> str:
@@ -118,7 +149,7 @@ def atomic_write_bytes(path: PathLike, data: bytes) -> str:
             torn = data[: plan.cut_length(len(data))]
             with open(path, "wb") as fh:
                 fh.write(torn)
-            return _file_sha256(path)
+            return file_sha256_cached(path)
         if plan.kind == faults.DISK_FLIP:
             data = plan.flip(data)
     tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
@@ -132,20 +163,9 @@ def atomic_write_bytes(path: PathLike, data: bytes) -> str:
         if tmp.exists():  # replace failed; don't litter
             tmp.unlink()
     _fsync_dir(path.parent)
-    return _file_sha256(path)
-
-
-def durable_replace(tmp: PathLike, path: PathLike) -> None:
-    """Commit an already-written temp file: fsync, rename, dir-fsync.
-
-    For writers that stream their own format to a temp file (the trace
-    saver) and only need the crash-safe commit step.
-    """
-    tmp, path = Path(tmp), Path(path)
-    with open(tmp, "rb") as fh:
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(path.parent)
+    # Through the stat memo, so a write primes the hash the checkpoint
+    # verifier reads back.
+    return file_sha256_cached(path)
 
 
 def dump_json(obj: Any) -> bytes:
@@ -268,71 +288,3 @@ def write_blob_json(
 ) -> str:
     """Atomically write an envelope-wrapped JSON artefact."""
     return atomic_write_json(path, wrap_json(payload, schema, annotations))
-
-
-# ----------------------------------------------------------------------
-# binary envelope
-
-
-def wrap_bytes(payload: bytes, schema: str) -> bytes:
-    """Wrap raw payload bytes in the packed binary envelope."""
-    schema_bytes = schema.encode("utf-8")
-    header = _BIN_HEADER.pack(
-        _BIN_MAGIC,
-        _BIN_VERSION,
-        len(schema_bytes),
-        len(payload),
-        hashlib.sha256(payload).digest(),
-    )
-    return header + schema_bytes + payload
-
-
-def is_binary_blob(data: bytes) -> bool:
-    return data[: len(_BIN_MAGIC)] == _BIN_MAGIC
-
-
-def unwrap_bytes(
-    data: bytes, schema: Optional[str] = None, path: Optional[PathLike] = None
-) -> Tuple[str, bytes]:
-    """Validate a binary envelope; return ``(schema, payload)``.
-
-    Unlike the JSON form there is no passthrough here — callers decide
-    what a non-envelope byte string means for their format (the sizes
-    sidecar loader, for instance, treats it as a legacy sidecar).
-    """
-    if len(data) < _BIN_HEADER.size:
-        raise BlobError(
-            path,
-            f"truncated envelope header ({len(data)} of "
-            f"{_BIN_HEADER.size} bytes)",
-            "truncated",
-        )
-    magic, version, schema_len, length, digest = _BIN_HEADER.unpack_from(data)
-    if magic != _BIN_MAGIC:
-        raise BlobError(path, "not a repro blob (bad magic)", "malformed-envelope")
-    if version != _BIN_VERSION:
-        raise BlobError(
-            path, f"unsupported envelope version {version}", "malformed-envelope"
-        )
-    offset = _BIN_HEADER.size
-    recorded_schema = data[offset : offset + schema_len].decode(
-        "utf-8", errors="replace"
-    )
-    if schema is not None and recorded_schema != schema:
-        raise BlobError(
-            path,
-            f"schema mismatch: {recorded_schema!r} != {schema!r}",
-            "schema-mismatch",
-        )
-    payload = data[offset + schema_len :]
-    if len(payload) != length:
-        HEALTH.checksum_failures += 1
-        raise BlobError(
-            path,
-            f"length mismatch: recorded {length}, {len(payload)} bytes present",
-            "length-mismatch",
-        )
-    if hashlib.sha256(payload).digest() != digest:
-        HEALTH.checksum_failures += 1
-        raise BlobError(path, "payload sha256 mismatch", "checksum-mismatch")
-    return recorded_schema, payload

@@ -8,8 +8,8 @@ defect.  ``repro doctor`` reads these records to build its failure
 taxonomy, and ``--repair`` routes bad entries through here too.
 
 Quarantine never raises: if even the move fails the caller's
-degradation path (miss → recompute, sidecar → redraw, checkpoint →
-resume from last valid record) must still proceed.
+degradation path (miss → recompute, checkpoint → resume from last
+valid record) must still proceed.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def quarantine_file(
     """Move ``path`` into ``root/quarantine/`` with a reason record.
 
     ``category`` is the artefact class (``result-cache``,
-    ``campaign-result``, ``sizes-sidecar``, ``manifest``, ...) and
+    ``campaign-result``, ``manifest``, ...) and
     ``reason`` the human-readable defect.  ``root`` defaults to the
     artefact's own directory.  Returns the quarantined path, or
     ``None`` if the artefact was already gone or could not be moved.

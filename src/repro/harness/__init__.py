@@ -1,14 +1,12 @@
 """Fault-tolerant experiment campaign harness.
 
 Runs a paper evaluation as a *campaign*: every (figure x mix x
-policy) unit executes in a worker process — by default a persistent
-pool worker with warm trace/workload caches, or (with
-``isolate_tasks``) a fresh process per attempt — with a timeout and a
-retry budget, completed results checkpoint atomically into a
-manifest-tracked directory, and an interrupted or partially-failed
-campaign resumes exactly where it left off.  A deterministic chaos
-mode injects worker crashes, hangs and torn writes so the recovery
-machinery itself stays under test.
+policy) unit executes in a persistent pool worker with a warm workload
+cache, under a timeout and a retry budget; completed results
+checkpoint atomically into a manifest-tracked directory, and an
+interrupted or partially-failed campaign resumes exactly where it
+left off.  A deterministic chaos mode injects worker crashes, hangs
+and torn writes so the recovery machinery itself stays under test.
 
 See ``docs/harness.md`` for the campaign lifecycle and on-disk
 formats.
@@ -54,7 +52,7 @@ from .scheduler import (
     CampaignSettings,
     run_campaign,
 )
-from .worker import pool_worker_entry, worker_entry
+from .worker import pool_worker_entry
 
 __all__ = [
     "ALL_CHAOS_KINDS",
@@ -86,7 +84,6 @@ __all__ = [
     "pool_worker_entry",
     "run_campaign",
     "verify_result",
-    "worker_entry",
     "write_atomic",
     "write_json_atomic",
 ]

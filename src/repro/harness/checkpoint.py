@@ -14,9 +14,8 @@ defend against media faults — is detected at read time instead of
 poisoning a resume.  Files written before the envelope existed load
 via legacy passthrough.
 
-Integrity checking reuses
-:func:`repro.workloads.traceio.file_sha256_cached` — the same
-streamed content hash the trace loader uses, memoized by
+Integrity checking uses :func:`repro.fsio.durable.file_sha256_cached`
+— a streamed content hash memoized by
 ``(path, size, mtime_ns, inode, ctime_ns)`` — so resuming a large
 campaign verifies unchanged artefacts from the stat cache instead of
 re-hashing every byte, while any rewrite re-hashes in full.
@@ -32,11 +31,11 @@ from ..fsio.durable import (
     BlobError,
     atomic_write_bytes,
     dump_json,
+    file_sha256_cached,
     read_bytes,
     unwrap_json,
     wrap_json,
 )
-from ..workloads.traceio import file_sha256_cached
 from .errors import CorruptResultError
 
 PathLike = Union[str, Path]

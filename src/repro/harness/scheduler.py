@@ -1,24 +1,18 @@
 """The fault-tolerant campaign scheduler.
 
 Drives a set of :class:`~repro.experiments.campaign_tasks.CampaignTask`
-units to completion across worker processes, in one of two modes:
-
-* **pool** (default) — a persistent pool of long-lived workers pulls
-  *batches* of tasks over pipes and keeps trace/sidecar/workload
-  caches warm across tasks, so an N-cell policy matrix pays the
-  interpreter spawn and workload build once per worker instead of
-  once per cell;
-* **isolated** (``isolate_tasks=True``) — the PR 1 model, one process
-  per task attempt, for tasks that should never share an interpreter.
-
-Both modes keep the same fault-tolerance guarantees:
+units to completion across a persistent pool of long-lived worker
+processes.  Each worker runs one task at a time, handed to it over a
+pipe, and keeps its in-process workload cache warm across tasks, so an
+N-cell policy matrix pays the interpreter spawn and workload build
+once per worker instead of once per cell.  The pool keeps these
+fault-tolerance guarantees:
 
 * **crash containment** — a dead worker is an event, never an
-  exception; its in-flight task requeues and (in pool mode) a fresh
+  exception; its in-flight attempt is charged as a crash and a fresh
   worker replaces it;
-* **per-task deadlines** — pool workers heartbeat a ``start`` message
-  per task, arming a deadline; a worker that blows it is killed and
-  the attempt recorded as a timeout;
+* **per-task deadlines** — armed when a task is dispatched; a worker
+  that blows it is killed and the attempt recorded as a timeout;
 * **retry with exponential backoff** — failed attempts re-queue with
   ``base * 2**(tries-1)`` delay (capped), scaled by deterministic
   per-task jitter so simultaneous failures don't retry in lockstep,
@@ -70,7 +64,7 @@ from .errors import (
     TaskFailureReport,
 )
 from .manifest import FAILURES_NAME, MANIFEST_NAME, CampaignManifest
-from .worker import build_payload, pool_worker_entry, worker_entry
+from .worker import build_payload, pool_worker_entry
 
 PathLike = Union[str, Path]
 Progress = Optional[Callable[[str], None]]
@@ -78,6 +72,9 @@ Progress = Optional[Callable[[str], None]]
 #: Upper bound on one event-loop wait: deadline enforcement, backoff
 #: release and ``stop_after`` checks can never lag further than this.
 _WAIT_CAP = 0.2
+
+#: Upper bound, in seconds, on one retry's backoff delay.
+_BACKOFF_CAP = 30.0
 
 #: Name of the per-campaign health record (a ``repro-run/1`` RunRecord
 #: in a blob envelope) written after every scheduler invocation; ``repro
@@ -121,19 +118,10 @@ class CampaignSettings:
     task_timeout: float = 600.0
     retries: int = 3
     backoff_base: float = 1.0
-    backoff_cap: float = 30.0
-    start_method: Optional[str] = None
     chaos: Optional[ChaosConfig] = None
     #: When set, every worker profiles its task attempt with cProfile
     #: and dumps ``<profile_dir>/<task_id>.pstats``.
     profile_dir: Optional[str] = None
-    #: ``True`` restores the one-process-per-attempt mode (PR 1);
-    #: the default runs a persistent worker pool with warm caches.
-    isolate_tasks: bool = False
-    #: Tasks dispatched to a pool worker per message.  1 keeps the
-    #: scheduler maximally reactive; larger batches shave dispatch
-    #: round-trips on very short tasks.
-    batch_size: int = 1
     #: The on-disk result cache (:mod:`repro.memo.results`): completed
     #: unit payloads keyed by (fingerprint, experiment, unit, scale).
     #: ``False`` disables both lookup and store; the directory defaults
@@ -152,9 +140,8 @@ class CampaignReport:
     retried_attempts: int = 0          # failed attempts that were retried
     failed: List[TaskFailureReport] = field(default_factory=list)
     interrupted: bool = False
-    #: Wall seconds of each *successful* attempt, by task id.  Pool
-    #: mode measures inside the worker (dispatch overhead excluded);
-    #: isolated mode measures launch-to-exit.
+    #: Wall seconds of each *successful* attempt, by task id, measured
+    #: inside the worker (dispatch overhead excluded).
     durations: Dict[str, float] = field(default_factory=dict)
     #: Pool workers replaced after dying or blowing a deadline.
     worker_respawns: int = 0
@@ -186,37 +173,21 @@ class _TaskState:
 
 
 @dataclass
-class _Running:
-    """One isolated-mode attempt in flight."""
-
-    state: _TaskState
-    process: multiprocessing.process.BaseProcess
-    deadline: float
-    attempt: int
-    started: float
-
-
-@dataclass
 class _PoolTask:
-    """One attempt dispatched to (not necessarily started by) a worker."""
+    """One attempt dispatched to a worker."""
 
     state: _TaskState
     attempt: int
-    started: bool = False              # "start" heartbeat observed
 
 
 @dataclass
 class _PoolWorker:
-    """One persistent worker and the batch it currently owns."""
+    """One persistent worker and the attempt it currently runs."""
 
     process: multiprocessing.process.BaseProcess
     conn: "multiprocessing.connection.Connection"
-    assigned: List[_PoolTask] = field(default_factory=list)
+    task: Optional[_PoolTask] = None
     deadline: Optional[float] = None   # armed while a task is in flight
-
-    @property
-    def idle(self) -> bool:
-        return not self.assigned
 
 
 class CampaignRunner:
@@ -237,9 +208,7 @@ class CampaignRunner:
         self.settings = settings or CampaignSettings()
         self.progress = progress or (lambda message: None)
         self.stop_after = stop_after
-        self._ctx = multiprocessing.get_context(
-            self.settings.start_method or _default_start_method()
-        )
+        self._ctx = multiprocessing.get_context(_default_start_method())
 
         if resume:
             # recover=True: a corrupt manifest is quarantined and
@@ -473,7 +442,7 @@ class CampaignRunner:
         # schedules across tasks while keeping them reproducible.
         delay = backoff_delay(
             self.settings.backoff_base,
-            self.settings.backoff_cap,
+            _BACKOFF_CAP,
             state.tries_this_run,
             task.task_id,
             seed=self.settings.chaos.seed if self.settings.chaos else 0,
@@ -524,24 +493,20 @@ class CampaignRunner:
             queue.append(_TaskState(task=task, attempts=entry.attempts))
         queue = self._serve_from_cache(queue, report)
         self.manifest.save()
-        if self.settings.isolate_tasks:
-            mode, run_queue = "isolated", self._run_isolated
-        else:
-            mode, run_queue = "pool", self._run_pool
         self.progress(
             f"campaign: {len(tasks)} tasks, jobs={self.settings.jobs} "
-            f"[{mode}] (cpu_count={os.cpu_count() or 1})"
+            f"(cpu_count={os.cpu_count() or 1})"
         )
         if report.skipped:
             self.progress(f"resume: skipping {report.skipped} verified tasks")
 
         try:
-            run_queue(queue, report)
+            self._run_pool(queue, report)
         finally:
             # Even an aborted run (Ctrl-C) leaves its failure report
             # and health record behind for resume/audit.
             self._write_failure_report(report)
-            self._write_health_record(report, mode)
+            self._write_health_record(report)
         return report
 
     def _stop_requested(self, report: CampaignReport) -> bool:
@@ -569,24 +534,8 @@ class CampaignRunner:
         return max(0.01, horizon - now)
 
     # ------------------------------------------------------------------
-    # isolated mode (one process per attempt)
+    # the worker pool
     # ------------------------------------------------------------------
-    def _launch(self, state: _TaskState) -> _Running:
-        attempt = state.attempts + 1
-        process = self._ctx.Process(
-            target=worker_entry, args=(self._payload(state, attempt),),
-            daemon=True,
-        )
-        process.start()
-        now = time.monotonic()
-        return _Running(
-            state=state,
-            process=process,
-            deadline=now + self.settings.task_timeout,
-            attempt=attempt,
-            started=now,
-        )
-
     def _kill(self, process: multiprocessing.process.BaseProcess) -> None:
         if process.is_alive():
             process.terminate()
@@ -595,107 +544,6 @@ class CampaignRunner:
                 process.kill()
                 process.join(2.0)
 
-    def _classify_exit(self, running: _Running, timed_out: bool) -> AttemptFailure:
-        task = running.state.task
-        if timed_out:
-            return AttemptFailure(
-                task.task_id,
-                running.attempt,
-                TIMEOUT,
-                f"exceeded {self.settings.task_timeout:g}s deadline",
-            )
-        exitcode = running.process.exitcode
-        if self._error_path(task, running.attempt).exists():
-            return self._error_failure(
-                running.state, running.attempt, f"worker exited {exitcode}"
-            )
-        if exitcode == 0:
-            # Exited cleanly but the result did not verify.
-            try:
-                verify_result(self._result_path(task), task.task_id)
-                raise AssertionError("classify called on verified result")
-            except CorruptResultError as exc:
-                return AttemptFailure(
-                    task.task_id, running.attempt, CORRUPT, exc.reason
-                )
-        return AttemptFailure(
-            task.task_id,
-            running.attempt,
-            CRASH,
-            f"worker died with exit code {exitcode}",
-        )
-
-    def _settle(
-        self, running: _Running, report: CampaignReport, timed_out: bool
-    ) -> Optional[_TaskState]:
-        state = running.state
-        state.attempts = running.attempt
-        state.tries_this_run += 1
-
-        if not timed_out and running.process.exitcode == 0:
-            failure = self._complete(
-                state, report, time.monotonic() - running.started
-            )
-            if failure is None:
-                return None
-        else:
-            failure = self._classify_exit(running, timed_out)
-        return self._fail_attempt(state, report, failure)
-
-    def _run_isolated(
-        self, queue: List[_TaskState], report: CampaignReport
-    ) -> None:
-        running: Dict[int, _Running] = {}
-        try:
-            while queue or running:
-                if self._stop_requested(report):
-                    break
-                # Settle finished and overdue workers first, so their
-                # slots free up for this iteration's launches (settling
-                # last would add a full wait timeout between tasks).
-                for pid in list(running):
-                    item = running[pid]
-                    timed_out = False
-                    if item.process.is_alive():
-                        if time.monotonic() >= item.deadline:
-                            self._kill(item.process)
-                            timed_out = True
-                        else:
-                            continue
-                    item.process.join()
-                    del running[pid]
-                    requeue = self._settle(item, report, timed_out)
-                    if requeue is not None:
-                        queue.append(requeue)
-                # Launch every eligible task while worker slots are free.
-                now = time.monotonic()
-                index = 0
-                while index < len(queue) and len(running) < self.settings.jobs:
-                    if queue[index].next_eligible <= now:
-                        state = queue.pop(index)
-                        item = self._launch(state)
-                        running[item.process.pid] = item
-                    else:
-                        index += 1
-                # Block until a child exits (its sentinel fires), a
-                # backoff releases, or a deadline nears.
-                sentinels = [item.process.sentinel for item in running.values()]
-                timeout = self._wait_timeout(
-                    queue,
-                    [item.deadline for item in running.values()],
-                    time.monotonic(),
-                )
-                if sentinels:
-                    multiprocessing.connection.wait(sentinels, timeout)
-                elif queue:
-                    time.sleep(timeout)
-        finally:
-            for item in running.values():
-                self._kill(item.process)
-
-    # ------------------------------------------------------------------
-    # pool mode (persistent workers, batched dispatch)
-    # ------------------------------------------------------------------
     def _spawn_worker(self) -> _PoolWorker:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
@@ -720,45 +568,35 @@ class CampaignRunner:
         queue: List[_TaskState],
         now: float,
     ) -> None:
-        """Hand batches of eligible tasks to idle (spawning) workers."""
+        """Hand eligible tasks to idle workers, spawning up to ``jobs``."""
         eligible = [s for s in queue if s.next_eligible <= now]
-        if not eligible:
-            return
         for worker in workers:
             if not eligible:
                 return
-            if not worker.idle or not worker.process.is_alive():
-                continue
-            self._assign(worker, eligible, queue, now)
+            if worker.task is None and worker.process.is_alive():
+                self._assign(worker, eligible.pop(0), queue, now)
         while eligible and len(workers) < self.settings.jobs:
             worker = self._spawn_worker()
             workers.append(worker)
-            self._assign(worker, eligible, queue, now)
+            self._assign(worker, eligible.pop(0), queue, now)
 
     def _assign(
         self,
         worker: _PoolWorker,
-        eligible: List[_TaskState],
+        state: _TaskState,
         queue: List[_TaskState],
         now: float,
     ) -> None:
-        batch: List[_PoolTask] = []
-        payloads: List[str] = []
-        while eligible and len(batch) < max(1, self.settings.batch_size):
-            state = eligible.pop(0)
-            queue.remove(state)
-            attempt = state.attempts + 1
-            batch.append(_PoolTask(state=state, attempt=attempt))
-            payloads.append(self._payload(state, attempt))
+        queue.remove(state)
+        attempt = state.attempts + 1
         try:
-            worker.conn.send(("run", payloads))
+            worker.conn.send(("run", self._payload(state, attempt)))
         except (BrokenPipeError, OSError):
             # Worker died between spawn and dispatch; requeue untouched
             # (no attempt consumed) — the reaper collects the corpse.
-            for item in batch:
-                queue.append(item.state)
+            queue.append(state)
             return
-        worker.assigned.extend(batch)
+        worker.task = _PoolTask(state=state, attempt=attempt)
         worker.deadline = now + self.settings.task_timeout
 
     def _on_message(
@@ -768,30 +606,12 @@ class CampaignRunner:
         queue: List[_TaskState],
         report: CampaignReport,
     ) -> None:
-        kind = message[0]
-        if kind == "start":
-            _, task_id, _worker_clock = message
-            for item in worker.assigned:
-                if item.state.task.task_id == task_id:
-                    item.started = True
-                    break
-            worker.deadline = time.monotonic() + self.settings.task_timeout
-            return
-        if kind != "done":  # pragma: no cover - protocol guard
-            return
-        _, task_id, status, elapsed = message
-        item = next(
-            (i for i in worker.assigned if i.state.task.task_id == task_id),
-            None,
-        )
-        if item is None:  # pragma: no cover - protocol guard
-            return
-        worker.assigned.remove(item)
-        worker.deadline = (
-            time.monotonic() + self.settings.task_timeout
-            if worker.assigned
-            else None
-        )
+        item = worker.task
+        if message[0] != "done" or item is None:  # pragma: no cover
+            return  # protocol guard
+        _, _task_id, status, elapsed = message
+        worker.task = None
+        worker.deadline = None
         state = item.state
         state.attempts = item.attempt
         state.tries_this_run += 1
@@ -826,23 +646,19 @@ class CampaignRunner:
         kind: str,
         detail: str,
     ) -> None:
-        """Settle a dead/overdue worker's batch: charge started tasks,
-        requeue unstarted ones without consuming an attempt."""
-        for item in worker.assigned:
-            state = item.state
-            if not item.started:
-                queue.append(state)
-                continue
-            state.attempts = item.attempt
-            state.tries_this_run += 1
-            failure = AttemptFailure(
-                state.task.task_id, item.attempt, kind, detail
-            )
-            requeue = self._fail_attempt(state, report, failure)
-            if requeue is not None:
-                queue.append(requeue)
-        worker.assigned.clear()
+        """Charge a dead/overdue worker's in-flight attempt as failed."""
+        item = worker.task
+        worker.task = None
         worker.deadline = None
+        if item is None:
+            return
+        state = item.state
+        state.attempts = item.attempt
+        state.tries_this_run += 1
+        failure = AttemptFailure(state.task.task_id, item.attempt, kind, detail)
+        requeue = self._fail_attempt(state, report, failure)
+        if requeue is not None:
+            queue.append(requeue)
 
     def _reap_dead(
         self,
@@ -855,12 +671,11 @@ class CampaignRunner:
                 continue
             # Messages sent before death still count.
             self._drain(worker, queue, report)
-            if worker.assigned:
-                exitcode = worker.process.exitcode
-                self._fail_in_flight(
-                    worker, queue, report,
-                    CRASH, f"pool worker died with exit code {exitcode}",
-                )
+            self._fail_in_flight(
+                worker, queue, report,
+                CRASH,
+                f"pool worker died with exit code {worker.process.exitcode}",
+            )
             workers.remove(worker)
             self._retire_worker(worker, kill=False)
             report.worker_respawns += 1
@@ -876,8 +691,8 @@ class CampaignRunner:
             if worker.deadline is None or now < worker.deadline:
                 continue
             self._drain(worker, queue, report)
-            if worker.deadline is None or time.monotonic() < worker.deadline:
-                continue  # progress arrived while draining
+            if worker.deadline is None:
+                continue  # the task finished while draining
             self._kill(worker.process)
             self._fail_in_flight(
                 worker, queue, report,
@@ -893,7 +708,7 @@ class CampaignRunner:
     ) -> None:
         workers: List[_PoolWorker] = []
         try:
-            while queue or any(w.assigned for w in workers):
+            while queue or any(w.task is not None for w in workers):
                 if self._stop_requested(report):
                     break
                 now = time.monotonic()
@@ -932,9 +747,7 @@ class CampaignRunner:
             self._retire_worker(worker)
 
     # ------------------------------------------------------------------
-    def _write_health_record(
-        self, report: CampaignReport, mode: str
-    ) -> None:
+    def _write_health_record(self, report: CampaignReport) -> None:
         """Persist this invocation's scheduler/storage counters.
 
         One ``repro-run/1`` RunRecord (kind ``campaign-health``) in a
@@ -951,7 +764,6 @@ class CampaignRunner:
         meta = {
             "scale": self.scale_name,
             "experiments": list(self.experiments),
-            "mode": mode,
             "interrupted": report.interrupted,
         }
         # Only campaigns created over an explicit workload list carry

@@ -1,33 +1,26 @@
-"""Campaign workers: isolated one-shot processes and persistent pools.
+"""Campaign pool workers.
 
-Two execution modes share one attempt contract:
+A pool worker (``pool_worker_entry``) is a long-lived process that
+receives one task payload at a time over a pipe and keeps its
+in-process workload cache warm across tasks, so a policy matrix stops
+paying a fresh interpreter + workload build per cell.  A dead worker
+is an event the scheduler observes via its process sentinel: the
+in-flight attempt is charged as a crash and a fresh worker replaces
+it.
 
-* **isolated** (``worker_entry``) — one process per task attempt, the
-  PR 1 crash-containment model: a segfault, OOM kill or runaway loop
-  in one task can never take the scheduler or its siblings down;
-* **pooled** (``pool_worker_entry``) — a long-lived process that pulls
-  *batches* of task payloads over a pipe and keeps its trace, sidecar
-  and workload caches warm across tasks, so a policy matrix stops
-  paying a fresh interpreter + workload build per cell.  Crash
-  containment is unchanged — a dead pool worker is an event the
-  scheduler observes via its process sentinel, and the in-flight task
-  is requeued.
-
-The attempt contract in both modes:
+The attempt contract:
 
 * the worker receives one JSON payload (task, scale, paths, chaos);
 * on success it writes the task's result *atomically* to
-  ``result_path`` (isolated: exits 0; pooled: reports ``ok``);
+  ``result_path`` and reports ``ok``;
 * on a caught exception it writes a traceback record to
-  ``error_path`` (isolated: exits 1; pooled: reports ``error``);
+  ``error_path`` and reports ``error``;
 * anything else — a crash, a kill, a hang — is the scheduler's
   problem to detect from the outside.
 
-Pool workers speak a tiny message protocol over their pipe:
-``("run", [payload_json, ...])`` and ``("exit",)`` inbound;
-``("start", task_id, monotonic)`` — the heartbeat that arms the
-scheduler's per-task deadline — and ``("done", task_id, status,
-elapsed_seconds)`` outbound.
+The message protocol over the pipe: ``("run", payload_json)`` and
+``("exit",)`` inbound; ``("done", task_id, status, elapsed_seconds)``
+outbound.
 
 Chaos injection runs *inside* the worker, exactly where real faults
 strike: a ``crash`` dies before any work (killing the whole pool
@@ -132,9 +125,8 @@ def _execute_attempt(payload: dict) -> bool:
     """Run one task attempt; write its result or error record.
 
     Returns ``True`` on a verified-writable success, ``False`` after
-    writing the traceback record.  Never exits the process — the
-    callers decide between ``os._exit`` (isolated) and reporting over
-    the pipe (pooled).
+    writing the traceback record.  Never exits the process; the pool
+    worker reports the outcome over its pipe.
     """
     try:
         from ..experiments.campaign_tasks import run_campaign_task
@@ -188,24 +180,16 @@ def _execute_attempt(payload: dict) -> bool:
         return False
 
 
-def worker_entry(payload_json: str) -> None:
-    """Isolated-mode entry point: run one task attempt and exit.
-
-    Must stay importable at module top level so it survives both
-    ``fork`` and ``spawn`` multiprocessing start methods.
-    """
-    payload = json.loads(payload_json)
-    os._exit(0 if run_attempt(payload) else 1)
-
-
 def pool_worker_entry(conn) -> None:
-    """Persistent-pool entry point: serve task batches until told to exit.
+    """Persistent-pool entry point: serve tasks until told to exit.
 
     ``conn`` is the worker's end of a ``multiprocessing.Pipe``.  The
     loop is deliberately trusting of nothing: a scheduler that died
     (closed pipe) ends the worker, and any fault *inside* a task is
     either contained by ``_execute_attempt`` or kills this process —
-    which the scheduler observes and recovers from.
+    which the scheduler observes and recovers from.  Must stay
+    importable at module top level so it survives both ``fork`` and
+    ``spawn`` multiprocessing start methods.
     """
     while True:
         try:
@@ -216,21 +200,16 @@ def pool_worker_entry(conn) -> None:
             break
         if message[0] != "run":  # pragma: no cover - protocol guard
             continue
-        for payload_json in message[1]:
-            payload = json.loads(payload_json)
-            started = time.monotonic()
-            try:
-                conn.send(("start", payload["task_id"], started))
-            except (BrokenPipeError, OSError):
-                return
-            ok = run_attempt(payload)
-            elapsed = time.monotonic() - started
-            try:
-                conn.send(
-                    ("done", payload["task_id"], "ok" if ok else "error", elapsed)
-                )
-            except (BrokenPipeError, OSError):
-                return
+        payload = json.loads(message[1])
+        started = time.monotonic()
+        ok = run_attempt(payload)
+        elapsed = time.monotonic() - started
+        try:
+            conn.send(
+                ("done", payload["task_id"], "ok" if ok else "error", elapsed)
+            )
+        except (BrokenPipeError, OSError):
+            return
     try:
         conn.close()
     except OSError:  # pragma: no cover

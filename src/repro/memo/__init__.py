@@ -1,8 +1,7 @@
 """Content-addressed memoization above the engine.
 
 Two layers, both keyed by content hashes and tolerant of corrupt or
-stale entries (mirroring the trace/sidecar cache design in
-:mod:`repro.workloads.cache`):
+stale entries:
 
 * :mod:`repro.memo.fingerprint` — the code-version fingerprint derived
   from the committed golden digests; any engine change that alters

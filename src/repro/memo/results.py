@@ -8,12 +8,11 @@ reuse *across campaigns* — re-running a figure, widening a matrix, or
 replaying the whole evaluation at another path re-pays only the units
 it has never computed.
 
-Design mirrors the trace cache (:mod:`repro.workloads.cache`):
+Design:
 
 * keys are SHA-256 over a canonical-JSON rendering of every input that
   shapes the result, *including* :func:`~repro.memo.fingerprint.code_fingerprint`
-  — a stale-code entry simply never matches a live key, exactly like a
-  bumped ``GENERATOR_VERSION``;
+  — a stale-code entry simply never matches a live key;
 * entries are written through :mod:`repro.fsio` — atomic rename plus
   the checksummed ``repro-blob/1`` envelope — so a crashed writer can
   at worst leave a temp file and a bit-rotted entry is *detected*,

@@ -6,8 +6,8 @@ Everything behind ``python -m repro export``:
 * **csv**   — flat ``record,metric,value,unit,layer,aggregation`` rows,
   one per registered metric, ready for pandas/spreadsheets;
 * **jsonl** — an event stream: one ``task`` line per record (built
-  from the campaign scheduler's heartbeat-derived manifest state) and
-  one ``epoch`` line per recorded epoch;
+  from the scheduler state the campaign manifest records) and one
+  ``epoch`` line per recorded epoch;
 * **prom**  — Prometheus text exposition (HELP/TYPE from the registry
   metadata, one labelled sample per record x metric).
 
@@ -109,8 +109,8 @@ def _records_from_campaign(directory: Path) -> List[RunRecord]:
         if entry.status != "complete" or not entry.result:
             continue
         for record in _records_from_file(directory / entry.result):
-            # Scheduler-side state (from the heartbeat-driven manifest)
-            # rides along so the JSONL task stream can report it.
+            # Scheduler-side state (from the manifest) rides along so
+            # the JSONL task stream can report it.
             record.meta.setdefault("task_id", task_id)
             record.meta.setdefault("attempts", entry.attempts)
             if entry.sha256:

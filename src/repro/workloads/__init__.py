@@ -29,13 +29,6 @@ from .registry import (
     workload_refs,
 )
 from .trace import CORE_ADDR_SHIFT, MaterializedTrace, TraceRecord, materialize
-from .traceio import (
-    TraceFormatError,
-    file_sha256,
-    load_trace,
-    save_trace,
-    validate_trace,
-)
 
 __all__ = [
     "AppTraceGenerator",
@@ -44,22 +37,17 @@ __all__ = [
     "DataModel",
     "MaterializedTrace",
     "TargetSpec",
-    "TraceFormatError",
     "TraceRecord",
     "WorkloadFamily",
     "WorkloadRefError",
     "build_workload",
     "family_names",
-    "file_sha256",
     "get_family",
-    "load_trace",
     "materialize",
     "normalize_workload_ref",
     "parse_workload_ref",
     "register_family",
     "resolve_workload_ref",
-    "save_trace",
-    "validate_trace",
     "workload_ref_fingerprint",
     "workload_refs",
 ]

@@ -134,45 +134,9 @@ class DataModel:
         sizes = self._sizes
         draw = self._draw_size
         for addr in addrs:
-            # Native int: mmap-backed traces iterate as NumPy scalars,
-            # which the PRNG seed below cannot accept (and which would
-            # otherwise leak in as memo keys).
-            addr = int(addr)
             if addr not in sizes:
                 csize = draw(addr)
                 sizes[addr] = (csize, ecb_size(csize))
-
-    def preload_sizes(self, entries: Dict[int, Tuple[int, int]]) -> None:
-        """Adopt pre-computed ``addr -> (csize, ecb)`` entries.
-
-        This is how a compressed-size *sidecar* (persisted by
-        :mod:`repro.workloads.cache` next to the cached trace) skips
-        the per-address PRNG draw entirely.  Entries must have been
-        produced by this model's own draw for the same seed/profiles —
-        the sidecar cache keys by exactly those inputs — so preloading
-        is observationally identical to drawing.
-        """
-        self._sizes.update(entries)
-
-    def sizes_for(self, addrs) -> Dict[int, Tuple[int, int]]:
-        """``addr -> (csize, ecb)`` for ``addrs`` (drawing any missing).
-
-        The export side of the sidecar cache: after a trace's sizes
-        are prefetched, this snapshots exactly the entries a later
-        :meth:`preload_sizes` needs to reproduce them.
-        """
-        sizes = self._sizes
-        draw = self._draw_size
-        out: Dict[int, Tuple[int, int]] = {}
-        for addr in addrs:
-            addr = int(addr)
-            entry = sizes.get(addr)
-            if entry is None:
-                csize = draw(addr)
-                entry = (csize, ecb_size(csize))
-                sizes[addr] = entry
-            out[addr] = entry
-        return out
 
     # ------------------------------------------------------------------
     def block_bytes(self, addr: int) -> bytes:

@@ -32,17 +32,6 @@ class TraceRecord(NamedTuple):
     is_write: bool
 
 
-def _as_int_list(column) -> List[int]:
-    """A column as a list of *native* Python ints.
-
-    ``array`` and NumPy columns both expose ``tolist()`` — crucially,
-    NumPy's yields plain ``int``, not ``np.uint64`` scalars, keeping
-    the replay loop's arithmetic on the fast native-int path.
-    """
-    tolist = getattr(column, "tolist", None)
-    return tolist() if tolist is not None else list(column)
-
-
 #: Replay view: (gaps, addrs, writes) as plain Python lists — list
 #: indexing returns cached references instead of materialising a new
 #: int per access the way ``array`` subscripting does.
@@ -71,13 +60,9 @@ class MaterializedTrace:
 
     @classmethod
     def from_columns(cls, gaps, addrs, writes) -> "MaterializedTrace":
-        """Adopt pre-built columns (no copy, no per-record validation).
-
-        Columns may be ``array``/``bytearray`` (the generator path) or
-        any sequence with equivalent integer contents — e.g. the
-        strided NumPy views the zero-copy ``load_trace_mmap`` loader
-        exposes over an mmapped trace file.
-        """
+        """Adopt pre-built ``array('Q')`` gap/address columns and a
+        ``bytearray`` of write flags (no copy, no per-record
+        validation)."""
         if not (len(gaps) == len(addrs) == len(writes)):
             raise ValueError("column length mismatch")
         if not len(addrs):
@@ -106,9 +91,9 @@ class MaterializedTrace:
         if not self._replay:
             self._replay = (
                 (
-                    _as_int_list(self.gaps),
-                    _as_int_list(self.addrs),
-                    [w != 0 for w in _as_int_list(self.writes)],
+                    self.gaps.tolist(),
+                    self.addrs.tolist(),
+                    [w != 0 for w in self.writes],
                 ),
             )
         return self._replay[0]

@@ -74,7 +74,7 @@ def test_campaign_completes_and_checkpoints(reference_campaign):
         assert payload["status"] == "ok"
         assert manifest.verified_complete(task_id)
     health = health_record(reference_campaign)
-    assert health["meta"]["mode"] == "pool"
+    assert set(health["meta"]) == {"scale", "experiments", "interrupted"}
     assert health["metrics"]["scheduler.completed"] == 5
     assert health["metrics"]["scheduler.failed"] == 0
 
@@ -263,33 +263,8 @@ def test_worker_exception_is_captured_in_failure_report(tmp_path):
     assert failures["failed_tasks"][0]["task_id"] == "tables/table=table99"
 
 
-def test_isolated_mode_is_byte_identical_to_pool(tmp_path, reference_campaign):
-    """--isolate-tasks (one process per attempt) and the default
-    persistent pool must produce the same campaign bytes."""
-    directory = tmp_path / "isolated"
-    report = run_campaign(
-        directory,
-        scale="smoke",
-        experiments=["tables"],
-        settings=CampaignSettings(
-            jobs=2, task_timeout=60, retries=2, backoff_base=0.01,
-            isolate_tasks=True,
-        ),
-    )
-    assert report.ok
-    assert result_bytes(directory) == result_bytes(reference_campaign)
-    # both modes record a duration per completed task
-    manifest = CampaignManifest.load(directory)
-    assert set(report.durations) == set(manifest.tasks)
-    assert all(seconds > 0 for seconds in report.durations.values())
-    health = health_record(directory)
-    assert health["meta"]["mode"] == "isolated"
-    assert health["metrics"]["scheduler.completed"] == 5
-    assert health["metrics"]["scheduler.failed"] == 0
-
-
 def test_pool_worker_crash_loses_nothing(tmp_path, reference_campaign):
-    """Chaos kills persistent workers mid-batch; the scheduler must
+    """Chaos kills persistent workers mid-task; the scheduler must
     respawn them and finish with results byte-identical to a calm run
     — no task lost, none duplicated."""
     directory = tmp_path / "pool_crash"
@@ -378,19 +353,38 @@ def test_disk_fault_chaos_is_byte_identical_and_quarantines(
     assert audit.ok, audit.summary()
 
 
-def test_pool_batched_dispatch_is_byte_identical(tmp_path, reference_campaign):
-    directory = tmp_path / "batched"
-    report = run_campaign(
-        directory,
-        scale="smoke",
-        experiments=["tables"],
-        settings=CampaignSettings(
-            jobs=1, task_timeout=60, retries=0, backoff_base=0.01,
-            batch_size=4,
-        ),
+def test_simulation_units_through_the_pool_match_in_process_runs(tmp_path):
+    """Smoke ``bench_cells`` units on mix1 build a real workload in
+    each pool worker: one worker and two must write the same bytes,
+    and a stored result must equal the unit run in this process."""
+    from repro.experiments.campaign_tasks import run_campaign_task
+    from repro.harness import dump_json
+
+    directories = {}
+    for jobs in (1, 2):
+        directory = tmp_path / f"cells_jobs{jobs}"
+        report = run_campaign(
+            directory,
+            scale="smoke",
+            experiments=["bench_cells"],
+            workloads=["mix1"],
+            settings=CampaignSettings(
+                jobs=jobs, task_timeout=120, retries=0, backoff_base=0.01,
+                use_result_cache=False,
+            ),
+        )
+        assert report.ok and report.completed == 7
+        assert report.cache_hits == 0
+        directories[jobs] = directory
+    assert len(result_bytes(directories[1])) == 7
+    assert result_bytes(directories[1]) == result_bytes(directories[2])
+
+    stored = load_result(
+        sorted((directories[2] / "results").glob("*.json"))[0]
     )
-    assert report.ok
-    assert result_bytes(directory) == result_bytes(reference_campaign)
+    assert stored["unit"]["mix"] == "mix1"
+    in_process = run_campaign_task("bench_cells", stored["unit"], "smoke")
+    assert dump_json(stored["result"]) == dump_json(in_process)
 
 
 def test_smoke_campaign_with_chaos_loses_nothing(tmp_path, capsys):

@@ -87,29 +87,6 @@ def test_doctor_flags_stale_cache_fingerprints(tmp_path):
     assert report.warnings[0].defect == "stale-fingerprint"
 
 
-def test_doctor_audits_sidecars_and_traces(tmp_path, monkeypatch):
-    from repro.workloads.cache import TRACE_CACHE_ENV, save_sizes_sidecar
-    from repro.workloads.profiles import profile
-
-    cache_dir = tmp_path / "trace_cache"
-    monkeypatch.setenv(TRACE_CACHE_ENV, str(cache_dir))
-    prof = profile("mcf17").scaled(1 / 32)
-    save_sizes_sidecar(prof, 0, 0, 10, {1: (2, 3)})
-    sidecar = next(cache_dir.glob("*.sizes"))
-    assert run_doctor([cache_dir]).ok
-
-    sidecar.write_bytes(sidecar.read_bytes()[:-3])
-    report = run_doctor([cache_dir])
-    assert not report.ok
-    assert report.findings[0].category == "sizes-sidecar"
-
-    trace = cache_dir / "bogus.trc"
-    trace.write_bytes(b"not a trace at all")
-    sidecar.unlink()
-    report = run_doctor([cache_dir])
-    assert [f.category for f in report.findings] == ["trace"]
-
-
 def test_doctor_default_targets_cover_committed_artefacts():
     targets = [str(t) for t in default_targets(".")]
     assert any("BENCH_" in t for t in targets)

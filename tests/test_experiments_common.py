@@ -19,7 +19,6 @@ from repro.experiments import (
     table5_rows,
 )
 from repro.core import make_policy
-from repro.experiments.common import geometric_mean
 
 
 # ----------------------------------------------------------------------
@@ -131,9 +130,3 @@ def test_table4_and_5_dump():
     rows5 = table5_rows()
     assert len(rows5) == 10
     assert rows5[0]["mix"] == "mix1"
-
-
-def test_geometric_mean():
-    assert geometric_mean([2, 8]) == pytest.approx(4.0)
-    assert geometric_mean([]) == 0.0
-    assert geometric_mean([1, 0]) == 0.0

@@ -5,7 +5,8 @@ exercise them end-to-end): the checksummed ``repro-blob/1`` envelope
 detects every defect class with a stable taxonomy token; the
 deterministic fault injector is a pure function of its inputs; and
 corrupt artefacts move to ``quarantine/`` with structured reason
-records instead of being deleted or re-served.
+records instead of being deleted or re-served.  The stat-keyed file
+hash memo that checkpoint verification reads is covered here too.
 """
 
 import json
@@ -22,13 +23,10 @@ from repro.fsio import (
     OneShotFault,
     atomic_write_bytes,
     injected_faults,
-    is_binary_blob,
     is_blob_payload,
     quarantine_file,
     read_bytes,
-    unwrap_bytes,
     unwrap_json,
-    wrap_bytes,
     wrap_json,
 )
 from repro.fsio.quarantine import load_reason
@@ -89,30 +87,91 @@ def test_json_envelope_defect_taxonomy():
 
 
 # ----------------------------------------------------------------------
-# binary envelope
+# content hashes and the stat-keyed sha256 memo
 
-def test_binary_envelope_roundtrip_and_defects():
-    blob = wrap_bytes(b"\x00\x01payload", "repro-test/1")
-    assert is_binary_blob(blob)
-    schema, payload = unwrap_bytes(blob)
-    assert (schema, payload) == ("repro-test/1", b"\x00\x01payload")
+def test_file_sha256_matches_hashlib(tmp_path):
+    import hashlib
 
-    with pytest.raises(BlobError) as exc:
-        unwrap_bytes(blob[:10])
-    assert exc.value.defect == "truncated"
-    with pytest.raises(BlobError) as exc:
-        unwrap_bytes(blob[:-2])
-    assert exc.value.defect == "length-mismatch"
-    rotted = blob[:-1] + bytes([blob[-1] ^ 0x01])
-    with pytest.raises(BlobError) as exc:
-        unwrap_bytes(rotted)
-    assert exc.value.defect == "checksum-mismatch"
-    with pytest.raises(BlobError) as exc:
-        unwrap_bytes(blob, schema="repro-other/1")
-    assert exc.value.defect == "schema-mismatch"
-    with pytest.raises(BlobError) as exc:
-        unwrap_bytes(b"NOTABLOB" + blob[8:])
-    assert exc.value.defect == "malformed-envelope"
+    from repro.fsio.durable import file_sha256
+
+    path = tmp_path / "blob.bin"
+    path.write_bytes(b"x" * 100_000)
+    assert file_sha256(path) == hashlib.sha256(b"x" * 100_000).hexdigest()
+
+
+def test_file_sha256_cached_hashes_once_per_stat(tmp_path, monkeypatch):
+    import repro.fsio.durable as durable
+
+    path = tmp_path / "blob.bin"
+    path.write_bytes(b"a" * 1000)
+    expected = durable.file_sha256(path)
+
+    calls = []
+    real = durable.file_sha256
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(durable, "file_sha256", counting)
+    assert durable.file_sha256_cached(path) == expected
+    assert durable.file_sha256_cached(path) == expected
+    assert len(calls) == 1, "second lookup must come from the memo"
+
+
+def test_file_sha256_cached_invalidates_on_change(tmp_path):
+    import os
+
+    from repro.fsio.durable import file_sha256, file_sha256_cached
+
+    path = tmp_path / "blob.bin"
+    path.write_bytes(b"before")
+    assert file_sha256_cached(path) == file_sha256(path)
+
+    # same size, different bytes: the mtime_ns change must invalidate
+    path.write_bytes(b"after!")
+    os.utime(path)  # ensure a strictly newer timestamp either way
+    assert file_sha256_cached(path) == file_sha256(path)
+
+    # different size invalidates too
+    path.write_bytes(b"a much longer blob")
+    assert file_sha256_cached(path) == file_sha256(path)
+
+
+def test_file_sha256_cached_invalidates_within_one_mtime_tick(tmp_path):
+    """An atomic rewrite (same size, same forced mtime) lands on a new
+    inode, which alone must bust the memo — the stat key that only
+    covered (size, mtime) served stale digests for rewrites faster
+    than the filesystem timestamp granularity."""
+    import os
+
+    from repro.fsio.durable import file_sha256, file_sha256_cached
+
+    path = tmp_path / "blob.bin"
+    atomic_write_bytes(path, b"version-A")
+    first = file_sha256_cached(path)
+    assert first == file_sha256(path)
+    stat = path.stat()
+
+    # rewrite atomically with identical size, then pin mtime back so
+    # (size, mtime_ns) is byte-for-byte the same stat key as before
+    atomic_write_bytes(path, b"version-B")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    after = path.stat()
+    assert after.st_size == stat.st_size
+    assert after.st_mtime_ns == stat.st_mtime_ns
+    assert after.st_ino != stat.st_ino, "atomic replace must change inode"
+
+    second = file_sha256_cached(path)
+    assert second == file_sha256(path)
+    assert second != first
+
+
+def test_file_sha256_cached_missing_file_raises(tmp_path):
+    from repro.fsio.durable import file_sha256_cached
+
+    with pytest.raises(OSError):
+        file_sha256_cached(tmp_path / "nope.bin")
 
 
 # ----------------------------------------------------------------------

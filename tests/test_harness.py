@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.experiments import SMOKE, enumerate_campaign_tasks
+from repro.fsio.durable import file_sha256
 from repro.harness import (
     CampaignManifest,
     ChaosConfig,
@@ -17,7 +18,6 @@ from repro.harness import (
     write_atomic,
     write_json_atomic,
 )
-from repro.workloads.traceio import file_sha256
 
 
 # ----------------------------------------------------------------------

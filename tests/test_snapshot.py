@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.golden import (
@@ -88,6 +88,10 @@ def test_snapshot_restore_matches_golden_digest(policy_name):
     warmup_epochs=st.floats(0.0, 1.0),
     measure_epochs=st.floats(0.25, 2.0),
 )
+# A window ending just short of an epoch boundary: a core draining
+# past the end must not close that epoch before the others reach it.
+@example(policy_name="ca_rwr", seed=208, records=604,
+         warmup_epochs=0.99999, measure_epochs=1.0)
 @settings(max_examples=12, deadline=None)
 def test_split_run_matches_one_shot_on_random_windows(
     policy_name, seed, records, warmup_epochs, measure_epochs
