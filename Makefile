@@ -1,6 +1,6 @@
 # Convenience targets; scripts/ci.sh is the canonical gate.
 
-.PHONY: ci test bench-memo explore bench-explore
+.PHONY: ci test explore bench-explore
 
 ci:
 	scripts/ci.sh
@@ -19,12 +19,5 @@ explore:
 # simulated-instruction saving at 50x over exhaustive simulation, and
 # writes BENCH_explore.json (the committed artefact records 63x).
 bench-explore:
-	PYTHONPATH=src python -m repro bench --explore --scale smoke \
-		--out $$(mktemp -d)
-
-# Memoization bench: cold vs cache-served campaign.  It fails on any
-# cache miss in the second pass or any byte difference between the
-# two passes' results; its timings are recorded, not gated.
-bench-memo:
-	PYTHONPATH=src python -m repro bench --memo --scale smoke \
+	PYTHONPATH=src python -m repro bench --scale smoke \
 		--out $$(mktemp -d)

@@ -4,7 +4,7 @@
 # a same-host speed gate.
 #
 # Usage: scripts/ci.sh
-#   [--skip-tests|--skip-bench|--skip-memo|--skip-schema|--skip-durability|
+#   [--skip-tests|--skip-bench|--skip-schema|--skip-durability|
 #    --skip-analytical|--skip-workloads]
 #
 # The bench leg times perfbench's `matrix` workload on the working tree
@@ -20,7 +20,6 @@ cd "$(dirname "$0")/.."
 
 RUN_TESTS=1
 RUN_BENCH=1
-RUN_MEMO=1
 RUN_SCHEMA=1
 RUN_DURABILITY=1
 RUN_ANALYTICAL=1
@@ -29,7 +28,6 @@ for arg in "$@"; do
   case "$arg" in
     --skip-tests) RUN_TESTS=0 ;;
     --skip-bench) RUN_BENCH=0 ;;
-    --skip-memo) RUN_MEMO=0 ;;
     --skip-schema) RUN_SCHEMA=0 ;;
     --skip-durability) RUN_DURABILITY=0 ;;
     --skip-analytical) RUN_ANALYTICAL=0 ;;
@@ -69,9 +67,10 @@ fi
 
 if [[ "$RUN_SCHEMA" == 1 ]]; then
   echo "== ci: artefact schema consistency =="
-  # Every committed BENCH_*.json and the golden digests must validate
-  # against the *current* RunRecord schema and metric registry, so a
-  # metric rename or schema bump can never silently orphan artefacts.
+  # Every committed BENCH_*.json must validate against the *current*
+  # RunRecord schema and metric registry, and the golden digests must
+  # stay readable, so a metric rename or schema bump can never silently
+  # orphan artefacts.
   python -m repro export --check
 fi
 
@@ -135,15 +134,6 @@ if ratio < 1 - bound:
 PY
 fi
 
-if [[ "$RUN_MEMO" == 1 ]]; then
-  echo "== ci: memoization correctness smoke =="
-  # `bench --memo` runs a reduced campaign twice against one result
-  # cache and *raises* unless the second pass is served entirely from
-  # cache with byte-identical results — so this leg is a correctness
-  # gate, not a timing one.
-  python -m repro bench --memo --scale smoke --out "$TMP_ROOT/memo"
-fi
-
 if [[ "$RUN_DURABILITY" == 1 ]]; then
   echo "== ci: storage durability under disk-fault chaos =="
   # A short campaign with disk-level chaos (torn result writes and
@@ -197,11 +187,11 @@ if [[ "$RUN_ANALYTICAL" == 1 ]]; then
   python -m repro doctor --strict "$TMP_ROOT/explore"
 
   echo "== ci: explorer leverage floor (full default space) =="
-  # `bench --explore` exits 1 when screening the 1008-point space and
+  # `repro bench` exits 1 when screening the 1008-point space and
   # confirming its survivors costs less than 50x fewer simulated
   # instructions than simulating every point.  It counts instructions,
   # not seconds, so the gate is deterministic.
-  python -m repro bench --explore --scale smoke --out "$TMP_ROOT/explore_bench"
+  python -m repro bench --scale smoke --out "$TMP_ROOT/explore_bench"
 fi
 
 if [[ "$RUN_WORKLOADS" == 1 ]]; then

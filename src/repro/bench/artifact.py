@@ -1,11 +1,10 @@
 """Bench artefacts: how ``BENCH_<label>.json`` is written and read.
 
-The memo and explorer benches each return a schema-tagged document.
-On disk it is the RunRecord envelope of that document, inside a
-checksummed ``repro-blob/1`` envelope committed through the
-crash-consistent fsio path — one format shared with campaign results
-and the memo cache, auditable by ``repro doctor`` and validated by
-``repro export --check``.
+The explorer bench returns a schema-tagged document.  On disk it is
+the RunRecord envelope of that document, inside a checksummed
+``repro-blob/1`` envelope committed through the crash-consistent fsio
+path — one format shared with campaign results, auditable by ``repro
+doctor`` and validated by ``repro export --check``.
 """
 
 from __future__ import annotations

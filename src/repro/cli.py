@@ -9,10 +9,8 @@ Commands
 ``figure``    — regenerate one of the paper's tables/figures
 ``ablation``  — run one of the design-choice ablations
 ``campaign``  — fault-tolerant multi-experiment run with resume
-``bench``     — correctness benches: the result cache's byte-identity
-                (``--memo``) and the explorer's instruction floor
-                (``--explore``)
-``export``    — convert RunRecord artefacts to json/csv/jsonl/prom,
+``bench``     — the explorer's 50x simulated-instruction floor
+``export``    — convert RunRecord artefacts to json/csv/jsonl,
                 or ``--check`` committed artefacts for schema drift
 ``doctor``    — audit artefact integrity (envelopes, checksums,
                 schemas); ``--repair`` quarantines, ``--strict`` gates
@@ -61,6 +59,7 @@ from .experiments import (
     table5_rows,
 )
 from .forecast import SECONDS_PER_MONTH, Forecaster
+from .metrics.export import EXPORT_FORMATS
 from .workloads.mixes import MIX_NAMES
 from .workloads.profiles import APP_NAMES
 
@@ -352,8 +351,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         backoff_base=args.backoff,
         chaos=chaos,
         profile_dir=args.profile,
-        use_result_cache=not args.no_result_cache,
-        result_cache_dir=args.result_cache,
     )
 
     if args.resume:
@@ -371,63 +368,32 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             raise UsageError("campaign needs --out DIR (or --resume DIR)")
         directory, resume = args.out, False
         scale_name = _resolve_scale(args.scale).name
-        from .experiments import ALL_EXPERIMENT_NAMES
-
         experiments = [e.strip() for e in args.experiments.split(",") if e.strip()]
         for name in experiments:
-            _check_choice("experiment", name, ALL_EXPERIMENT_NAMES)
+            _check_choice("experiment", name, EXPERIMENT_NAMES)
         workloads = (
             _check_workload_list(args.workloads) if args.workloads else None
         )
 
-    # Default the result cache to <campaign>/result_cache, so re-running
-    # or widening a campaign at the same path re-pays only
-    # never-computed units.
-    import os
-    from pathlib import Path
-
-    from .memo.results import RESULT_CACHE_ENV
-
-    # The override lives only for this campaign: embedding processes
-    # (the test suite, scripts) call main() repeatedly, and a leaked
-    # REPRO_RESULT_CACHE pointing at a dead directory would silently
-    # redirect every later campaign's cache.
-    saved_cache_env = os.environ.get(RESULT_CACHE_ENV)
-    if not args.no_result_cache:
-        os.environ.setdefault(
-            RESULT_CACHE_ENV, str(Path(directory) / "result_cache")
-        )
-
     try:
-        try:
-            runner = CampaignRunner(
-                directory,
-                scale=scale_name or "default",
-                experiments=experiments,
-                settings=settings,
-                resume=resume,
-                workloads=workloads,
-                progress=lambda message: print(message),
-            )
-        except CampaignConfigError as exc:
-            raise UsageError(str(exc)) from None
-        report = runner.run()
-    finally:
-        if saved_cache_env is None:
-            os.environ.pop(RESULT_CACHE_ENV, None)
-        else:
-            os.environ[RESULT_CACHE_ENV] = saved_cache_env
+        runner = CampaignRunner(
+            directory,
+            scale=scale_name or "default",
+            experiments=experiments,
+            settings=settings,
+            resume=resume,
+            workloads=workloads,
+            progress=lambda message: print(message),
+        )
+    except CampaignConfigError as exc:
+        raise UsageError(str(exc)) from None
+    report = runner.run()
 
     status = "OK" if report.ok else "INCOMPLETE"
-    cache_note = (
-        f", {report.cache_hits} served from result cache"
-        if report.cache_hits
-        else ""
-    )
     print(
         f"campaign {status}: {report.completed} completed, "
         f"{report.skipped} skipped (verified), {len(report.failed)} failed, "
-        f"{report.retried_attempts} attempts retried{cache_note}"
+        f"{report.retried_attempts} attempts retried"
     )
     for failed in report.failed:
         last = failed.failures[-1] if failed.failures else None
@@ -437,43 +403,21 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import (
-        ExploreBenchError,
-        MemoBenchError,
-        run_explore_bench,
-        run_memo_bench,
-        write_bench,
-    )
+    from .bench import ExploreBenchError, run_explore_bench, write_bench
 
     scale = _resolve_scale(args.scale)
-
-    if args.explore:
-        try:
-            document = run_explore_bench(scale, progress=print)
-        except ExploreBenchError as exc:
-            print(f"explore bench FAILED: {exc}", file=sys.stderr)
-            return 1
-        path = write_bench(document, args.out)
-        print(f"wrote {path}")
-        info = document["explore"]
-        print(
-            f"explore leverage {info['instruction_speedup']:.0f}x "
-            f"(floor {info['speedup_floor']:.0f}x) over "
-            f"{info['n_points']} points in {info['total_seconds']:.1f}s"
-        )
-        return 0
-
     try:
-        document = run_memo_bench(scale, jobs=args.jobs, progress=print)
-    except MemoBenchError as exc:
-        print(f"memo bench FAILED: {exc}", file=sys.stderr)
+        document = run_explore_bench(scale, progress=print)
+    except ExploreBenchError as exc:
+        print(f"explore bench FAILED: {exc}", file=sys.stderr)
         return 1
     path = write_bench(document, args.out)
     print(f"wrote {path}")
-    memo = document["memo"]
+    info = document["explore"]
     print(
-        f"warm campaign speedup {memo['campaign']['speedup']:.1f}x "
-        f"({memo['campaign']['units']} units, byte-identical)"
+        f"explore leverage {info['instruction_speedup']:.0f}x "
+        f"(floor {info['speedup_floor']:.0f}x) over "
+        f"{info['n_points']} points in {info['total_seconds']:.1f}s"
     )
     return 0
 
@@ -738,46 +682,30 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inject faults, e.g. p=0.3,kinds=crash,timeout,corrupt")
     p.add_argument("--profile", default=None, metavar="DIR",
                    help="each worker dumps DIR/<task_id>.pstats")
-    p.add_argument("--result-cache", default=None, metavar="DIR",
-                   help="content-addressed result cache directory "
-                        "(default: <campaign>/result_cache, or "
-                        "REPRO_RESULT_CACHE)")
-    p.add_argument("--no-result-cache", action="store_true",
-                   help="always recompute units, never serve cached results")
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser(
         "bench",
-        help="correctness benches: cache-served campaign byte-identity "
-             "(--memo) or the explorer's 50x instruction floor (--explore)",
+        help="run the full default design space through the explorer's "
+             "analytical screening tier and gate the simulated-instruction "
+             "speedup over exhaustive simulation at 50x",
     )
     p.add_argument("--scale", default=argparse.SUPPRESS,
                    help="smoke | default | full | paper (default: env)")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--memo", action="store_true",
-                      help="time a cold vs cache-served campaign pass, "
-                           "verified byte-identical; writes BENCH_memo.json")
-    mode.add_argument("--explore", action="store_true",
-                      help="run the full default design space through the "
-                           "analytical screening tier and gate the "
-                           "simulated-instruction speedup over exhaustive "
-                           "simulation at 50x; writes BENCH_explore.json")
-    p.add_argument("--jobs", type=int, default=2,
-                   help="campaign workers of the memo bench (default: 2)")
     p.add_argument("--out", default="benchmarks/results", metavar="DIR",
-                   help="directory for BENCH_memo.json / BENCH_explore.json")
+                   help="directory for BENCH_explore.json")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "export",
         help="export RunRecord artefacts (files or campaign dirs) "
-             "to json/csv/jsonl/prom, or --check committed artefacts",
+             "to json/csv/jsonl, or --check committed artefacts",
     )
     p.add_argument("paths", nargs="*", metavar="PATH",
                    help="result files, BENCH_*.json artefacts, or "
                         "campaign directories")
     p.add_argument("--format", default="json",
-                   choices=("json", "csv", "jsonl", "prom"),
+                   choices=EXPORT_FORMATS,
                    help="output format (default: json)")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write to FILE instead of stdout")
@@ -789,19 +717,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "doctor",
-        help="audit artefact integrity: envelopes, checksums, schemas, "
-             "stale fingerprints; reports a failure taxonomy",
+        help="audit artefact integrity: envelopes, checksums, schemas; "
+             "reports a failure taxonomy",
     )
     p.add_argument("paths", nargs="*", metavar="PATH",
-                   help="artefact files, campaign directories, or cache "
-                        "directories (default: the committed bench "
-                        "artefacts and golden digests)")
+                   help="artefact files, campaign or explore directories, "
+                        "or directories of artefacts (default: the "
+                        "committed bench artefacts and golden digests)")
     p.add_argument("--repair", action="store_true",
                    help="move corrupt artefacts to quarantine/ with a "
                         "structured reason record")
     p.add_argument("--strict", action="store_true",
-                   help="exit nonzero on any corruption finding (CI gate); "
-                        "warnings (stale cache entries) never fail")
+                   help="exit nonzero on any corruption finding (CI gate)")
     p.set_defaults(func=cmd_doctor)
 
     p = sub.add_parser(

@@ -6,7 +6,6 @@ from .ablations import (
     run_migration_ablation,
 )
 from .campaign_tasks import (
-    ALL_EXPERIMENT_NAMES,
     EXPERIMENT_NAMES,
     EXPERIMENTS,
     CampaignTask,
@@ -45,7 +44,6 @@ from .th_tradeoff import TradeoffPoint, run_fig9
 from .wear_leveling_study import run_wear_leveling_study
 
 __all__ = [
-    "ALL_EXPERIMENT_NAMES",
     "CampaignTask",
     "CompressibilityRow",
     "DEFAULT",

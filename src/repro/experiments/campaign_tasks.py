@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Sequence
 
-from .bench_cells import enumerate_bench_cell_units, run_bench_cell_unit
 from .common import ExperimentScale
 from .compressibility import enumerate_fig2_units, run_fig2_unit
 from .cpth_sweep import enumerate_cpth_units, run_cpth_unit
@@ -77,23 +76,12 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {
             run_lifetime_unit,
             "Fig. 10a performance-vs-lifetime forecasts",
         ),
-        ExperimentDef(
-            "bench_cells",
-            enumerate_bench_cell_units,
-            run_bench_cell_unit,
-            "uniform (policy x mix) engine cells: the memo bench's campaign",
-        ),
     )
 }
 
-#: Experiments scheduled by a default ``repro campaign`` run: the
-#: paper's figures and tables.  ``bench_cells`` reproduces nothing and
-#: is deliberately excluded — it runs only when named explicitly
-#: (``--experiments bench_cells``, or the memo bench's campaign).
-EXPERIMENT_NAMES = tuple(sorted(set(EXPERIMENTS) - {"bench_cells"}))
-
-#: Every campaign-runnable experiment, benchmark cells included.
-ALL_EXPERIMENT_NAMES = tuple(sorted(EXPERIMENTS))
+#: Every campaign-runnable experiment: the paper's figures and tables,
+#: all scheduled by a default ``repro campaign`` run.
+EXPERIMENT_NAMES = tuple(sorted(EXPERIMENTS))
 
 
 def unit_id(unit: Mapping) -> str:
@@ -139,8 +127,7 @@ def run_campaign_task(experiment: str, unit: Mapping, scale_name: str) -> dict:
 
     Every unit runner returns a :class:`~repro.metrics.RunRecord`;
     the worker envelope stores its validated JSON payload, so campaign
-    results, the memo result cache and the exporters all share the one
-    versioned record shape.
+    results and the exporters share the one versioned record shape.
     """
     from ..metrics import RunRecord
     from ..workloads.registry import WorkloadRefError, parse_workload_ref

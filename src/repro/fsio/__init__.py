@@ -1,9 +1,9 @@
 """Crash-consistent artifact I/O (the storage reliability floor).
 
-The reproduction is deeply stateful on disk — result cache,
-checkpoints, manifests, BENCH artefacts — and a torn write, ENOSPC or bit flip in any of them could silently
-poison a resume.  This package is the one place all of
-that state flows through:
+The reproduction is deeply stateful on disk — campaign results,
+checkpoints, manifests, BENCH artefacts — and a torn write, ENOSPC or
+bit flip in any of them could silently poison a resume.  This
+package is the one place all of that state flows through:
 
 * :mod:`~repro.fsio.durable` — atomic writes (tmp + fsync + rename +
   parent-dir fsync) and the checksummed ``repro-blob/1`` envelope
@@ -16,12 +16,12 @@ that state flows through:
   is testable;
 * :mod:`~repro.fsio.quarantine` — graceful degradation: detected
   corruption moves the entry into a ``quarantine/`` subdirectory with
-  a structured reason record and the owning layer degrades (cache miss
-  → recompute, checkpoint damage → resume from the last valid record)
-  instead of raising;
+  a structured reason record and the owning layer degrades (a corrupt
+  result → recompute, checkpoint damage → resume from the last valid
+  record) instead of raising;
 * :mod:`~repro.fsio.doctor` — the audit behind ``repro doctor``:
   verify every artefact class's envelopes, re-validate RunRecord
-  schemas, detect stale fingerprints, report a failure taxonomy.
+  schemas, report a failure taxonomy.
 
 Per-class health counters live in :mod:`~repro.fsio.health` and are
 registered in the metrics spine (``storage.*``).

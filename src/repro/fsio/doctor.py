@@ -1,25 +1,24 @@
 """``repro doctor``: audit every artefact class the repo persists.
 
-One walk over campaign directories, result caches, bench artefacts,
-explore directories and golden digests, checking each file at the level its
+One walk over campaign directories, bench artefacts, explore
+directories and golden digests, checking each file at the level its
 format allows:
 
 * ``repro-blob/1`` envelopes — checksum, declared length, schema tag;
 * campaign manifests — envelope plus per-task ``verify_result`` of
   every COMPLETE entry against its recorded sha256;
-* result-cache entries — envelope, payload shape, embedded RunRecord
-  against the *current* metric registry, and annotation fingerprints
-  against the live :func:`~repro.memo.fingerprint.code_fingerprint`
-  (a mismatch is *stale*, reported as a warning, never corruption);
-* committed goldens — byte-equality with the embedded digest literal.
+* embedded RunRecords — validated against the *current* metric
+  registry;
+* committed goldens — readable JSON (their content is pinned by
+  recomputation in ``tests/test_golden_determinism.py`` and in
+  perfbench's ``check_goldens``).
 
-Findings carry a defect token from the shared taxonomy (``truncated``,
-``checksum-mismatch``, ``schema-mismatch``, ``stale-fingerprint``, …)
-and a severity: ``error`` findings are corruption, ``warn`` findings
-are degraded-but-safe states (stale cache entries, legacy pre-envelope
-artefacts stay *valid* and produce no finding at all).  ``--repair``
-moves error-class files to the owning ``quarantine/`` with a reason
-record; ``--strict`` (the CI leg) exits nonzero on any error finding.
+Every finding is corruption and carries a defect token from the shared
+taxonomy (``truncated``, ``checksum-mismatch``, ``schema-mismatch``,
+…); legacy pre-envelope artefacts stay *valid* and produce no finding
+at all.  ``--repair`` moves each flagged file to the owning
+``quarantine/`` with a reason record; ``--strict`` (the CI leg) exits
+nonzero on any finding.
 """
 
 from __future__ import annotations
@@ -34,9 +33,6 @@ from .quarantine import QUARANTINE_DIRNAME, REASON_SUFFIX, quarantine_file
 
 PathLike = Union[str, Path]
 
-SEVERITY_ERROR = "error"
-SEVERITY_WARN = "warn"
-
 ACTION_NONE = "none"
 ACTION_QUARANTINED = "quarantined"
 ACTION_REPAIR_FAILED = "repair-failed"
@@ -44,20 +40,18 @@ ACTION_REPAIR_FAILED = "repair-failed"
 
 @dataclass
 class Finding:
-    """One defective (or degraded) artefact the audit surfaced."""
+    """One defective artefact the audit surfaced."""
 
     path: str
-    category: str       # artefact class: campaign-result, result-cache, ...
+    category: str       # artefact class: campaign-result, bench, ...
     defect: str         # taxonomy token: checksum-mismatch, truncated, ...
     detail: str         # human-readable specifics
-    severity: str = SEVERITY_ERROR
     action: str = ACTION_NONE
 
     def line(self) -> str:
-        tag = "FAIL" if self.severity == SEVERITY_ERROR else "warn"
         suffix = f" [{self.action}]" if self.action != ACTION_NONE else ""
         return (
-            f"  {tag}: {self.path} ({self.category}/{self.defect}): "
+            f"  FAIL: {self.path} ({self.category}/{self.defect}): "
             f"{self.detail}{suffix}"
         )
 
@@ -70,17 +64,9 @@ class DoctorReport:
     checked: List[str] = field(default_factory=list)
 
     @property
-    def errors(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity == SEVERITY_ERROR]
-
-    @property
-    def warnings(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity == SEVERITY_WARN]
-
-    @property
     def ok(self) -> bool:
-        """No corruption found (warnings do not fail the audit)."""
-        return not self.errors
+        """No corruption found."""
+        return not self.findings
 
     def taxonomy(self) -> Dict[str, int]:
         """Finding count per ``category/defect`` pair."""
@@ -94,7 +80,7 @@ class DoctorReport:
         verdict = "ok" if self.ok else "FAILED"
         lines = [
             f"doctor {verdict}: {len(self.checked)} artefacts checked, "
-            f"{len(self.errors)} corrupt, {len(self.warnings)} warnings"
+            f"{len(self.findings)} corrupt"
         ]
         for key, count in sorted(self.taxonomy().items()):
             lines.append(f"  {key}: {count}")
@@ -125,7 +111,6 @@ def _category_for_schema(schema: Optional[str]) -> str:
         "repro-task-error/1": "campaign-error",
         "repro-campaign/1": "campaign-manifest",
         "repro-campaign-meta/1": "campaign-meta",
-        "repro-result-cache/1": "result-cache",
         "repro-bench-artifact/1": "bench",
         "repro-quarantine/1": "quarantine-reason",
         "repro-explore-meta/1": "explore-meta",
@@ -175,48 +160,7 @@ def _audit_json_file(
         payload = unwrap_json(data, path=path)
     except BlobError as exc:
         return [Finding(str(path), resolved, exc.defect, exc.reason)]
-    findings = _check_run_record(payload, str(path), resolved)
-    if schema == "repro-result-cache/1":
-        findings.extend(_check_cache_annotations(path, data))
-    return findings
-
-
-def _check_cache_annotations(path: Path, envelope: dict) -> List[Finding]:
-    """Stale-fingerprint detection on result-cache annotations."""
-    from ..memo.fingerprint import code_fingerprint
-
-    annotations = envelope.get("annotations")
-    if not isinstance(annotations, dict):
-        return []
-    recorded = annotations.get("fingerprint")
-    if recorded is None or recorded == code_fingerprint():
-        return []
-    return [
-        Finding(
-            str(path), "result-cache", "stale-fingerprint",
-            f"written by code fingerprint {str(recorded)[:12]}…, "
-            "current code differs (entry can never be served)",
-            severity=SEVERITY_WARN,
-        )
-    ]
-
-
-def _audit_goldens(path: Path) -> List[Finding]:
-    from ..memo.fingerprint import EMBEDDED_GOLDEN_DIGESTS
-
-    data, finding = _load_json(path)
-    if finding is not None:
-        finding.category = "goldens"
-        return [finding]
-    if data != EMBEDDED_GOLDEN_DIGESTS:
-        return [
-            Finding(
-                str(path), "goldens", "checksum-mismatch",
-                "digests diverge from the embedded literal in "
-                "repro.memo.fingerprint",
-            )
-        ]
-    return []
+    return _check_run_record(payload, str(path), resolved)
 
 
 #: Marker file of an exploration directory (see repro.explore).
@@ -367,10 +311,6 @@ def _audit_campaign(directory: Path, report: DoctorReport) -> List[Finding]:
     if health.exists():
         report.checked.append(str(health))
         findings.extend(_audit_json_file(health, "campaign-health"))
-
-    nested = directory / "result_cache"
-    if nested.is_dir():
-        findings.extend(_audit_artefact_dir(nested, report))
     return findings
 
 
@@ -408,8 +348,6 @@ def _audit_path(path: Path, report: DoctorReport) -> List[Finding]:
     if not path.exists():
         return [Finding(str(path), "artefact", "unreadable", "no such file")]
     report.checked.append(str(path))
-    if path.name == "determinism.json" and path.parent.name == "goldens":
-        return _audit_goldens(path)
     return _audit_json_file(path)
 
 
@@ -432,10 +370,8 @@ def run_doctor(
 ) -> DoctorReport:
     """Audit ``paths`` (or the committed artefact set when empty).
 
-    With ``repair``, every error-severity finding's file is moved to
-    the nearest owning ``quarantine/`` directory with a reason record;
-    warnings (stale cache entries) are left in place — they are
-    harmless and self-healing.
+    With ``repair``, every flagged file is moved to the nearest owning
+    ``quarantine/`` directory with a reason record.
     """
     # RunRecord validation checks metric names against the registry;
     # load every metric-producing module first, as the exporter does.
@@ -447,7 +383,7 @@ def run_doctor(
     for target in targets:
         report.findings.extend(_audit_path(target, report))
     if repair:
-        for finding in report.errors:
+        for finding in report.findings:
             victim = Path(finding.path)
             if not victim.exists():
                 continue

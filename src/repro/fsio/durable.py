@@ -211,21 +211,16 @@ def payload_bytes(payload: Any) -> bytes:
     return canonical_json(payload).encode("utf-8")
 
 
-def wrap_json(
-    payload: Any, schema: str, annotations: Optional[dict] = None
-) -> dict:
+def wrap_json(payload: Any, schema: str) -> dict:
     """Wrap a JSON-able payload in a checksummed envelope document."""
     blob = payload_bytes(payload)
-    envelope = {
+    return {
         "format": BLOB_FORMAT,
         "schema": schema,
         "length": len(blob),
         "sha256": hashlib.sha256(blob).hexdigest(),
         "payload": payload,
     }
-    if annotations:
-        envelope["annotations"] = dict(annotations)
-    return envelope
 
 
 def is_blob_payload(data: Any) -> bool:
@@ -280,11 +275,6 @@ def unwrap_json(
     return payload
 
 
-def write_blob_json(
-    path: PathLike,
-    payload: Any,
-    schema: str,
-    annotations: Optional[dict] = None,
-) -> str:
+def write_blob_json(path: PathLike, payload: Any, schema: str) -> str:
     """Atomically write an envelope-wrapped JSON artefact."""
-    return atomic_write_json(path, wrap_json(payload, schema, annotations))
+    return atomic_write_json(path, wrap_json(payload, schema))

@@ -1,10 +1,10 @@
 """Process-wide storage health counters, registered in the spine.
 
 Every durability event the fsio layer observes — a checksum that
-failed, a write that could not complete, an artefact moved to
-quarantine, an injected fault firing — bumps a plain ``int`` attribute
-here, exactly the declare-once / collect-at-boundaries discipline the
-rest of the metrics spine follows.  ``repro doctor`` and the tests
+failed, an artefact moved to quarantine, an injected fault firing —
+bumps a plain ``int`` attribute here, exactly the declare-once /
+collect-at-boundaries discipline the rest of the metrics spine
+follows.  ``repro doctor`` and the tests
 read them; nothing in the hot path ever does.
 """
 
@@ -20,12 +20,6 @@ register_metric("storage", "quarantined", "count",
 register_metric("storage", "checksum_failures", "count",
                 "Envelope payloads whose recorded SHA-256 or length no "
                 "longer matched their bytes")
-register_metric("storage", "write_failures", "count",
-                "Atomic writes that failed (ENOSPC, EIO, permissions) and "
-                "were degraded by the owning layer")
-register_metric("storage", "read_failures", "count",
-                "Artefact reads that failed at the OS level and were "
-                "treated as misses")
 register_metric("storage", "faults_injected", "count",
                 "Disk faults the deterministic injector actually fired "
                 "(chaos and test harness use only)")
@@ -37,15 +31,11 @@ class StorageHealth:
 
     quarantined: int = 0
     checksum_failures: int = 0
-    write_failures: int = 0
-    read_failures: int = 0
     faults_injected: int = 0
 
     def reset(self) -> None:
         self.quarantined = 0
         self.checksum_failures = 0
-        self.write_failures = 0
-        self.read_failures = 0
         self.faults_injected = 0
 
 

@@ -8,8 +8,8 @@ defect.  ``repro doctor`` reads these records to build its failure
 taxonomy, and ``--repair`` routes bad entries through here too.
 
 Quarantine never raises: if even the move fails the caller's
-degradation path (miss → recompute, checkpoint → resume from last
-valid record) must still proceed.
+degradation path (corrupt result → recompute, checkpoint → resume
+from last valid record) must still proceed.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ def quarantine_file(
 ) -> Optional[Path]:
     """Move ``path`` into ``root/quarantine/`` with a reason record.
 
-    ``category`` is the artefact class (``result-cache``,
-    ``campaign-result``, ``manifest``, ...) and
-    ``reason`` the human-readable defect.  ``root`` defaults to the
-    artefact's own directory.  Returns the quarantined path, or
-    ``None`` if the artefact was already gone or could not be moved.
+    ``category`` is the artefact class (``campaign-result``,
+    ``campaign-manifest``, ``bench``, ...) and ``reason`` the
+    human-readable defect.  ``root`` defaults to the artefact's own
+    directory.  Returns the quarantined path, or ``None`` if the
+    artefact was already gone or could not be moved.
     """
     path = Path(path)
     directory = quarantine_dir(root if root is not None else path.parent)

@@ -61,10 +61,7 @@ def write_atomic(path: PathLike, data: bytes) -> str:
 
 
 def write_json_atomic(
-    path: PathLike,
-    obj: Any,
-    schema: Optional[str] = None,
-    annotations: Optional[dict] = None,
+    path: PathLike, obj: Any, schema: Optional[str] = None
 ) -> str:
     """Atomically write canonical JSON; return the file's SHA-256.
 
@@ -73,7 +70,7 @@ def write_json_atomic(
     document (manifest and ad-hoc artefacts keep their own formats).
     """
     if schema is not None:
-        obj = wrap_json(obj, schema, annotations)
+        obj = wrap_json(obj, schema)
     return atomic_write_bytes(path, dump_json(obj))
 
 

@@ -41,18 +41,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..experiments.campaign_tasks import CampaignTask, enumerate_campaign_tasks
 from ..experiments.common import get_scale
-from ..workloads.registry import normalize_workload_ref, workload_ref_fingerprint
+from ..workloads.registry import normalize_workload_ref
 from ..fsio.quarantine import quarantine_file
-from ..memo.fingerprint import code_fingerprint
-from ..memo.results import ResultCache, result_cache_dir, result_cache_key
 from ..metrics.registry import register_metric
 from .chaos import ChaosConfig, backoff_delay
-from .checkpoint import (
-    RESULT_SCHEMA,
-    load_result,
-    verify_result,
-    write_json_atomic,
-)
+from .checkpoint import load_result, verify_result, write_json_atomic
 from .errors import (
     CRASH,
     CORRUPT,
@@ -88,7 +81,7 @@ HEALTH_RECORD_NAME = "campaign.health.json"
 register_metric("scheduler", "total", "count",
                 "Tasks the campaign enumerated this invocation")
 register_metric("scheduler", "completed", "count",
-                "Tasks run (or cache-served) to verified success")
+                "Tasks run to verified success")
 register_metric("scheduler", "skipped", "count",
                 "Tasks already verified complete before the run started")
 register_metric("scheduler", "retried_attempts", "count",
@@ -98,8 +91,6 @@ register_metric("scheduler", "failed", "count",
                 attr="failed_count")
 register_metric("scheduler", "worker_respawns", "count",
                 "Pool workers replaced after dying or blowing a deadline")
-register_metric("scheduler", "cache_hits", "count",
-                "Tasks served from the on-disk result cache")
 
 
 def _default_start_method() -> str:
@@ -122,12 +113,6 @@ class CampaignSettings:
     #: When set, every worker profiles its task attempt with cProfile
     #: and dumps ``<profile_dir>/<task_id>.pstats``.
     profile_dir: Optional[str] = None
-    #: The on-disk result cache (:mod:`repro.memo.results`): completed
-    #: unit payloads keyed by (fingerprint, experiment, unit, scale).
-    #: ``False`` disables both lookup and store; the directory defaults
-    #: to the ``REPRO_RESULT_CACHE`` env var (unset ⇒ disabled).
-    use_result_cache: bool = True
-    result_cache_dir: Optional[str] = None
 
 
 @dataclass
@@ -145,10 +130,6 @@ class CampaignReport:
     durations: Dict[str, float] = field(default_factory=dict)
     #: Pool workers replaced after dying or blowing a deadline.
     worker_respawns: int = 0
-    #: Tasks served from the result cache (subset of ``completed``) —
-    #: verified, checkpointed and manifested like worker results, but
-    #: never dispatched to a worker.
-    cache_hits: int = 0
 
     @property
     def failed_count(self) -> int:
@@ -232,8 +213,8 @@ class CampaignRunner:
             self.scale_name = scale
             self.experiments = tuple(experiments)
             # Validated + normalized eagerly (synthetic refs canonical-
-            # ize to bare mix names) so unit ids, memo keys and the
-            # manifest all agree on one spelling per target.
+            # ize to bare mix names) so unit ids and the manifest agree
+            # on one spelling per target.
             self.workloads = (
                 tuple(normalize_workload_ref(ref) for ref in workloads)
                 if workloads
@@ -248,18 +229,6 @@ class CampaignRunner:
             )
         # Scale names are validated eagerly so a typo fails fast.
         get_scale(self.scale_name)
-
-        # Result cache: explicit dir > REPRO_RESULT_CACHE env > off.
-        cache_root = None
-        if self.settings.use_result_cache:
-            if self.settings.result_cache_dir is not None:
-                cache_root = Path(self.settings.result_cache_dir)
-            else:
-                cache_root = result_cache_dir()
-        self.result_cache = (
-            ResultCache(cache_root) if cache_root is not None else None
-        )
-        self._fingerprint = code_fingerprint()
 
     # ------------------------------------------------------------------
     # shared helpers
@@ -289,68 +258,6 @@ class CampaignRunner:
             hang_seconds=self.settings.task_timeout * 4 + 60.0,
             profile_dir=self.settings.profile_dir,
         )
-
-    def _cache_key(self, task: CampaignTask) -> str:
-        # The workload component is None for synthetic units, keeping
-        # their keys byte-compatible with the pre-registry key space.
-        ref = task.unit.get("mix") if hasattr(task.unit, "get") else None
-        workload = (
-            workload_ref_fingerprint(ref) if isinstance(ref, str) else None
-        )
-        return result_cache_key(
-            task.experiment, task.unit, self.scale_name, self._fingerprint,
-            workload=workload,
-        )
-
-    def _serve_from_cache(
-        self, queue: List[_TaskState], report: CampaignReport
-    ) -> List[_TaskState]:
-        """Complete queued tasks whose results the cache already holds.
-
-        A hit flows through the exact machinery a worker result would:
-        the payload is written atomically to the task's result path,
-        re-verified, and marked in the manifest — so resume, chaos and
-        byte-identity guarantees are untouched.  Any defect (corrupt
-        entry, unwritable results dir) downgrades to a miss and the
-        task runs normally.
-        """
-        if self.result_cache is None or not queue:
-            return queue
-        remaining: List[_TaskState] = []
-        for state in queue:
-            task = state.task
-            payload = self.result_cache.get(self._cache_key(task), task.task_id)
-            if payload is None:
-                remaining.append(state)
-                continue
-            result_path = self._result_path(task)
-            try:
-                # Same schema as a worker write: a cache-served result
-                # is byte-identical to a freshly computed one.
-                write_json_atomic(result_path, payload, schema=RESULT_SCHEMA)
-                _, sha256 = verify_result(result_path, task.task_id)
-            except (OSError, CorruptResultError):
-                self._scrub_bad_result(task)
-                remaining.append(state)
-                continue
-            self.manifest.mark_complete(
-                task.task_id,
-                f"{self.manifest.results_dir.name}/{task.filename}",
-                sha256,
-                state.attempts,
-            )
-            report.completed += 1
-            report.cache_hits += 1
-            self.progress(
-                f"cached {task.task_id} "
-                f"({report.completed + report.skipped}/{report.total})"
-            )
-        if report.cache_hits:
-            self.progress(
-                f"result cache: served {report.cache_hits} tasks "
-                f"from {self.result_cache.root}"
-            )
-        return remaining
 
     def _scrub_bad_result(self, task: CampaignTask) -> None:
         """Never leave a bad result file where resume could trip on it.
@@ -382,7 +289,7 @@ class CampaignRunner:
         """
         task = state.task
         try:
-            payload, sha256 = verify_result(
+            _, sha256 = verify_result(
                 self._result_path(task), task.task_id
             )
         except CorruptResultError as exc:
@@ -395,19 +302,6 @@ class CampaignRunner:
             sha256,
             state.attempts,
         )
-        if self.result_cache is not None:
-            # Only *verified* payloads enter the cache; put failures
-            # (disk full, read-only cache) are silently dropped.  The
-            # annotations let ``repro doctor`` audit entries for stale
-            # fingerprints without re-deriving every key.
-            self.result_cache.put(
-                self._cache_key(task),
-                payload,
-                annotations={
-                    "fingerprint": self._fingerprint,
-                    "task_id": task.task_id,
-                },
-            )
         report.completed += 1
         report.durations[task.task_id] = duration
         self.progress(
@@ -491,7 +385,6 @@ class CampaignRunner:
                 continue
             entry = self.manifest.entry(task.task_id)
             queue.append(_TaskState(task=task, attempts=entry.attempts))
-        queue = self._serve_from_cache(queue, report)
         self.manifest.save()
         self.progress(
             f"campaign: {len(tasks)} tasks, jobs={self.settings.jobs} "

@@ -1,34 +1,25 @@
-"""Run manifests: a JSON record that makes any result re-creatable.
+"""Identity serialisation: how configs, policies and workloads are named.
 
-A reproduction is only as good as its provenance.  ``build_manifest``
-captures everything that determines a simulation's outcome — the full
-system configuration, the policy and its parameters, the workload
-composition, seeds, scale and library version — as a plain dict;
-``save_manifest``/``load_manifest`` round-trip it through JSON.  Every
-benchmark artefact can be regenerated from its manifest alone.
-
-This module is the *single* home of identity serialisation: the
-campaign manifest (:mod:`repro.harness.manifest`), the memo layer
-(:mod:`repro.memo.fingerprint`) and the exporters all import
-:func:`canonical_json` / :func:`dataclass_dict` / :func:`library_info`
-/ ``describe_*`` from here instead of re-deriving field lists.
+This module is the *single* home of identity rendering: checksummed
+envelopes (:mod:`repro.fsio.durable`), the exporters and the snapshot
+key take :func:`canonical_json` from here, campaign manifests
+(:mod:`repro.harness.manifest`) stamp :func:`library_info`, and
+``run_one`` and the analytical estimator stamp :func:`describe_policy`
+/ :func:`describe_workload` into RunRecord meta, instead of each
+re-deriving field lists.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict
 
 from . import __version__
 
 if TYPE_CHECKING:  # identity helpers stay import-light for workers
-    from .config import SystemConfig
     from .core.policy import InsertionPolicy
     from .engine import Workload
-
-PathLike = Union[str, Path]
 
 
 def canonical_json(payload: Any) -> str:
@@ -46,10 +37,6 @@ def dataclass_dict(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [dataclass_dict(v) for v in obj]
     return obj
-
-
-# Deprecated alias: prefer :func:`dataclass_dict`.
-_dataclass_dict = dataclass_dict
 
 
 def library_info() -> Dict[str, str]:
@@ -85,29 +72,3 @@ def describe_workload(workload: "Workload") -> Dict[str, Any]:
     if target is not None:
         info["target"] = target
     return info
-
-
-def build_manifest(
-    config: "SystemConfig",
-    policy: "InsertionPolicy",
-    workload: "Workload",
-    extra: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """The complete provenance record of one run."""
-    manifest: Dict[str, Any] = {
-        "library": library_info(),
-        "system": dataclass_dict(config),
-        "policy": describe_policy(policy),
-        "workload": describe_workload(workload),
-    }
-    if extra:
-        manifest["extra"] = dict(extra)
-    return manifest
-
-
-def save_manifest(manifest: Dict[str, Any], path: PathLike) -> None:
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def load_manifest(path: PathLike) -> Dict[str, Any]:
-    return json.loads(Path(path).read_text())

@@ -13,11 +13,12 @@ resets the shared store before every run and reads its
 ``hits``/``misses``, and its tracer wraps :func:`warm_prefix_key`.
 ``tests/test_snapshot.py`` still pins the key and the LRU.
 
-Keys cover the code fingerprint, the full system config, the policy's
-pre-bind state, the workload identity (profiles, seed, trace lengths),
-the warmup horizon and any preloaded fault-map capacities — flipping
-any of them changes the key.  Anything un-canonicalisable in a policy
-yields no key (``None``).
+Keys cover the full system config, the policy's pre-bind state, the
+workload identity (profiles, seed, trace lengths), the warmup horizon
+and any preloaded fault-map capacities — flipping any of them changes
+the key.  No code version enters the key: an in-process store cannot
+outlive the code that filled it.  Anything un-canonicalisable in a
+policy yields no key (``None``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import types
 from collections import OrderedDict
 from typing import Any, List, NamedTuple, Optional, Tuple
 
-from .fingerprint import canonical_json, code_fingerprint
+from ..manifest import canonical_json
 
 DEFAULT_SLOTS = 4
 
@@ -126,7 +127,6 @@ def warm_prefix_key(
         }
         blob = canonical_json(
             {
-                "fingerprint": code_fingerprint(),
                 "config": _freeze(config),
                 "policy": {"name": policy.name, "state": _freeze(state)},
                 "workload": {

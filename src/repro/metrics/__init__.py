@@ -5,8 +5,8 @@ aggregation) with attribute-walking collectors that never touch the
 simulation hot path.
 ``record``    — the versioned, schema-validated :class:`RunRecord`
 every producing layer returns and every consuming layer reads.
-``export``    — JSON/CSV/JSONL/Prometheus exporters and the committed-
-artefact schema check behind ``python -m repro export``.
+``export``    — JSON/CSV/JSONL exporters and the committed-artefact
+schema check behind ``python -m repro export``.
 
 See docs/metrics.md for the schema and versioning policy.
 """
@@ -20,7 +20,6 @@ from .export import (
     to_canonical_json,
     to_flat_csv,
     to_jsonl_events,
-    to_prometheus,
 )
 from .record import (
     RUN_RECORD_SCHEMA,
@@ -58,5 +57,4 @@ __all__ = [
     "to_canonical_json",
     "to_flat_csv",
     "to_jsonl_events",
-    "to_prometheus",
 ]

@@ -1,4 +1,4 @@
-"""Exporters: one RunRecord, four output formats, one schema check.
+"""Exporters: one RunRecord, three output formats, one schema check.
 
 Everything behind ``python -m repro export``:
 
@@ -7,20 +7,18 @@ Everything behind ``python -m repro export``:
   one per registered metric, ready for pandas/spreadsheets;
 * **jsonl** — an event stream: one ``task`` line per record (built
   from the scheduler state the campaign manifest records) and one
-  ``epoch`` line per recorded epoch;
-* **prom**  — Prometheus text exposition (HELP/TYPE from the registry
-  metadata, one labelled sample per record x metric).
+  ``epoch`` line per recorded epoch.
 
 ``check_artifacts`` is the CI leg (``repro export --check``): every
-committed ``BENCH_*.json`` and the golden digests must validate
-against the *current* schema version and registry, so a metric rename
-or schema bump can never silently orphan committed artefacts.
+committed ``BENCH_*.json`` must validate against the *current* schema
+version and registry, and the golden digests must stay readable JSON,
+so a metric rename or schema bump can never silently orphan committed
+artefacts.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 from typing import Any, List, Sequence, Tuple, Union
 
@@ -30,7 +28,7 @@ from .registry import REGISTRY, MetricRegistry
 
 PathLike = Union[str, Path]
 
-EXPORT_FORMATS: Tuple[str, ...] = ("json", "csv", "jsonl", "prom")
+EXPORT_FORMATS: Tuple[str, ...] = ("json", "csv", "jsonl")
 
 #: Committed artefacts ``--check`` validates (repo-root relative).
 CHECKED_BENCH_GLOB = "benchmarks/results/BENCH_*.json"
@@ -215,42 +213,10 @@ def to_jsonl_events(records: Sequence[RunRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _prom_name(metric_name: str) -> str:
-    return "repro_" + re.sub(r"[^a-zA-Z0-9_]", "_", metric_name)
-
-
-def to_prometheus(
-    records: Sequence[RunRecord], registry: MetricRegistry = REGISTRY
-) -> str:
-    """Prometheus text exposition format (counters/gauges + labels)."""
-    names: List[str] = []
-    seen = set()
-    for record in records:
-        for name in record.metrics:
-            if name not in seen:
-                seen.add(name)
-                names.append(name)
-    lines: List[str] = []
-    for name in sorted(names):
-        spec = registry.get(name)
-        prom = _prom_name(name)
-        kind = "counter" if spec.aggregation == "sum" else "gauge"
-        lines.append(f"# HELP {prom} {spec.doc} [{spec.unit}]")
-        lines.append(f"# TYPE {prom} {kind}")
-        for index, record in enumerate(records):
-            value = record.metrics.get(name)
-            if value is None:
-                continue
-            label = record_label(record, index).replace('"', r"\"")
-            lines.append(f'{prom}{{record="{label}"}} {_cell(value)}')
-    return "\n".join(lines) + "\n"
-
-
 _EXPORTERS = {
     "json": to_canonical_json,
     "csv": to_flat_csv,
     "jsonl": to_jsonl_events,
-    "prom": to_prometheus,
 }
 
 
@@ -288,33 +254,24 @@ def check_artifacts(
             continue
         for record in records:
             if record.kind == "bench":
-                # The memo and explorer benches carry their namesake
-                # sections in a schema-tagged document.
+                # The explorer bench carries its ``explore`` section in
+                # a schema-tagged document.
                 document = record.values.get("document")
                 if (
                     not isinstance(document, dict)
                     or "schema" not in document
-                    or not ({"memo", "explore"} & set(document))
+                    or "explore" not in document
                 ):
                     errors.append(
-                        f"{path}: bench record has no memo or explore "
-                        "document"
+                        f"{path}: bench record has no explore document"
                     )
 
     goldens_path = root / CHECKED_GOLDENS
     checked.append(str(goldens_path))
-    from ..memo.fingerprint import EMBEDDED_GOLDEN_DIGESTS
-
     try:
-        committed = json.loads(goldens_path.read_text())
+        json.loads(goldens_path.read_text())
     except (OSError, ValueError) as exc:
         errors.append(f"{goldens_path}: unreadable ({exc})")
-    else:
-        if committed != EMBEDDED_GOLDEN_DIGESTS:
-            errors.append(
-                f"{goldens_path}: digests diverge from the embedded "
-                "literal in repro.memo.fingerprint"
-            )
 
     errors.extend(_registry_drift_errors())
     return checked, errors

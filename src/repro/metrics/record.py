@@ -2,12 +2,11 @@
 
 Every producing layer — ``run_one``, the campaign unit runners, the
 bench runner — returns a :class:`RunRecord`; every consuming layer —
-exporters, the memo result cache, analysis, reports — reads one.  The
+exporters, ``repro doctor``, analysis, reports — reads one.  The
 record is deliberately small:
 
 ``schema``
-    ``"repro-run/<version>"``.  Loaders reject unknown versions, and
-    the memo cache treats any mismatch as *stale* (recompute), so a
+    ``"repro-run/<version>"``.  Loaders reject unknown versions, so a
     schema change can never silently serve old-shape payloads.
 ``kind``
     What produced the record: ``simulation``, ``table``, ``unit``,

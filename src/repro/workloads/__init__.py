@@ -25,7 +25,6 @@ from .registry import (
     parse_workload_ref,
     register_family,
     resolve_workload_ref,
-    workload_ref_fingerprint,
     workload_refs,
 )
 from .trace import CORE_ADDR_SHIFT, MaterializedTrace, TraceRecord, materialize
@@ -48,6 +47,5 @@ __all__ = [
     "parse_workload_ref",
     "register_family",
     "resolve_workload_ref",
-    "workload_ref_fingerprint",
     "workload_refs",
 ]

@@ -6,9 +6,9 @@ needed a workload.  This module makes the family explicit: a
 :class:`WorkloadFamily` names a set of *targets* (mixes, scenarios),
 describes each one as a :class:`TargetSpec`, and builds a
 ready-to-simulate :class:`~repro.engine.Workload` on demand.
-Everything downstream — campaign units, memo keys, the analytical
-estimator, ``repro export`` — works per family without knowing any
-family's internals.
+Everything downstream — campaign units, the analytical estimator,
+``repro export`` — works per family without knowing any family's
+internals.
 
 Workload references
 -------------------
@@ -16,10 +16,8 @@ Workload references
 A workload is named by a ``family:target`` reference string.  For
 backwards compatibility a bare name (no colon) refers to the
 ``synthetic`` family, so every pre-registry mix name (``"mix1"``,
-``"mix4"``, …) keeps working verbatim — in CLI flags, campaign units,
-and memo cache keys (:func:`workload_ref_fingerprint` deliberately
-returns ``None`` for synthetic targets so the pre-registry result-
-cache key space stays valid).
+``"mix4"``, …) keeps working verbatim — in CLI flags and campaign
+units.
 
 Registered families:
 
@@ -31,17 +29,15 @@ Registered families:
 
 Adding a family is subclassing :class:`WorkloadFamily`, supplying
 :meth:`~WorkloadFamily.targets` and :meth:`~WorkloadFamily._profiles`,
-and calling :func:`register_family`; campaigns, memoization and
-exploration inherit it with no further wiring.
+and calling :func:`register_family`; campaigns and exploration
+inherit it with no further wiring.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from ..manifest import canonical_json
 from .mixes import MIX_NAMES, mix_profiles
 from .profiles import AppProfile
 
@@ -73,10 +69,8 @@ class WorkloadRefError(KeyError):
 class TargetSpec:
     """Declarative identity of one buildable workload target.
 
-    The spec is the *key-grade* description of a target: everything a
-    consumer needs to display it (``repro workloads``) or to scope a
-    cache key to it (:attr:`spec_hash` joins memo keys for non-
-    synthetic families).  Footprints are in blocks at paper scale;
+    The spec is everything a consumer needs to display a target
+    (``repro workloads``).  Footprints are in blocks at paper scale;
     compressibility fractions are the per-core mean of the profile
     HCR/LCR/incompressible splits.
     """
@@ -93,25 +87,6 @@ class TargetSpec:
     @property
     def ref(self) -> str:
         return f"{self.family}:{self.target}"
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "family": self.family,
-            "target": self.target,
-            "cores": self.cores,
-            "description": self.description,
-            "footprint_blocks": self.footprint_blocks,
-            "hcr_fraction": round(self.hcr_fraction, 6),
-            "lcr_fraction": round(self.lcr_fraction, 6),
-            "incompressible_fraction": round(self.incompressible_fraction, 6),
-        }
-
-    @property
-    def spec_hash(self) -> str:
-        """Hex SHA-256 over the canonical spec rendering."""
-        return hashlib.sha256(
-            canonical_json(self.to_json()).encode("utf-8")
-        ).hexdigest()
 
 
 def _mean_fractions(
@@ -282,8 +257,8 @@ def normalize_workload_ref(ref: str) -> str:
     """Canonical form: bare names for synthetic targets, refs otherwise.
 
     ``synthetic:mix1`` and ``mix1`` are the same target; normalising
-    to the bare spelling keeps campaign units (and hence memo result-
-    cache keys) identical to the pre-registry key space.
+    to the bare spelling keeps campaign unit ids identical to the
+    pre-registry ones.
     """
     family, target = resolve_workload_ref(ref)
     return target if family.name == DEFAULT_FAMILY else f"{family.name}:{target}"
@@ -295,31 +270,6 @@ def build_workload(
     """Build the workload a reference names, at ``scale``."""
     family, target = resolve_workload_ref(ref)
     return family.build(target, scale=scale, seed=seed)
-
-
-def workload_ref_fingerprint(ref: str) -> Optional[Dict[str, str]]:
-    """The memo-key component of a reference, or ``None``.
-
-    ``None`` for synthetic targets (bare mix names *are* the
-    pre-registry key space — returning a component there would orphan
-    every existing result-cache entry); a ``{family, target,
-    spec_hash}`` dict for every other family, so cached results can
-    never cross families and a target whose profiles change (different
-    spec hash) sheds its stale entries.
-    """
-    try:
-        family_name, target = parse_workload_ref(ref)
-    except WorkloadRefError:
-        return None
-    if family_name == DEFAULT_FAMILY:
-        return None
-    family = get_family(family_name)
-    spec = family.target_spec(target)
-    return {
-        "family": family_name,
-        "target": target,
-        "spec_hash": spec.spec_hash,
-    }
 
 
 def workload_refs() -> Tuple[str, ...]:

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.fsio.durable import unwrap_json
+from repro.fsio.doctor import run_doctor
+from repro.fsio.durable import unwrap_json, wrap_json
 from repro.harness import (
     COMPLETE,
     FAILED,
@@ -30,6 +31,8 @@ from repro.harness import (
 )
 from repro.harness.manifest import META_FORMAT, META_NAME
 from repro.harness.scheduler import HEALTH_RECORD_NAME
+from repro.manifest import canonical_json
+from repro.metrics import RunRecord, SchemaError
 
 FAST = CampaignSettings(jobs=2, task_timeout=60, retries=2, backoff_base=0.01)
 
@@ -89,14 +92,12 @@ def test_cli_status_and_prom_export_read_the_campaign(
     assert len(last_run) == 1
     assert "completed=5" in last_run[0] and "failed=0" in last_run[0]
 
-    assert main(["export", "--format", "prom", str(reference_campaign)]) == 0
-    out = capsys.readouterr().out
-    assert "# TYPE repro_scheduler_completed counter" in out
-    samples = [
-        line for line in out.splitlines()
-        if line.startswith("repro_scheduler_completed{")
+    assert main(["export", "--format", "csv", str(reference_campaign)]) == 0
+    rows = [
+        line.split(",") for line in capsys.readouterr().out.splitlines()
     ]
-    assert samples and samples[0].endswith(" 5")
+    completed = [row for row in rows if row[2] == "scheduler.completed"]
+    assert len(completed) == 1 and completed[0][3] == "5"
 
 
 def test_interrupted_campaign_marks_incomplete_and_resumes_identically(
@@ -187,7 +188,13 @@ def test_resume_accepts_campaigns_stamped_with_a_backend(
     """Older campaigns carry a ``backend`` key in campaign.json,
     campaign.meta.json and every result payload.  Both resume paths
     must ignore it: an intact manifest skips the verified tasks, and
-    recovery from the meta file verifies every result."""
+    recovery from the meta file verifies every result.
+
+    Campaigns written while the on-disk result cache existed hold a
+    ``result_cache/`` directory, and their health record carries three
+    counters that are no longer registered.  Resume skips every
+    verified task, leaves the directory alone and rewrites the health
+    record in the current schema."""
     directory = tmp_path / "stamped"
     shutil.copytree(reference_campaign, directory)
 
@@ -215,6 +222,37 @@ def test_resume_accepts_campaigns_stamped_with_a_backend(
     recovered = run_campaign(directory, resume=True, settings=FAST)
     assert recovered.ok
     assert recovered.skipped == 5 and recovered.completed == 0
+
+    cached = tmp_path / "with_result_cache"
+    shutil.copytree(reference_campaign, cached)
+    cache_dir = cached / "result_cache"
+    cache_dir.mkdir()
+    payload = load_result(sorted((cached / "results").glob("*.json"))[0])
+    entry = {
+        **wrap_json(payload, "repro-result-cache/1"),
+        "annotations": {"fingerprint": "0" * 64, "task_id": payload["task_id"]},
+    }
+    (cache_dir / f"{'ab' * 32}.json").write_text(canonical_json(entry))
+    cache_bytes = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
+    record = health_record(cached)
+    record["metrics"].update({
+        "scheduler.cache_hits": 0,
+        "storage.read_failures": 0,
+        "storage.write_failures": 0,
+    })
+    write_json_atomic(
+        cached / HEALTH_RECORD_NAME, record, schema=record["schema"]
+    )
+    with pytest.raises(SchemaError):
+        RunRecord.from_json(health_record(cached))
+    assert not run_doctor([cached]).ok
+
+    resumed = run_campaign(cached, resume=True, settings=FAST)
+    assert resumed.ok
+    assert resumed.skipped == 5 and resumed.completed == 0
+    assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == cache_bytes
+    RunRecord.from_json(health_record(cached))
+    assert run_doctor([cached]).ok
 
 
 def test_worker_exception_is_captured_in_failure_report(tmp_path):
@@ -347,16 +385,14 @@ def test_disk_fault_chaos_is_byte_identical_and_quarantines(
         assert reason["reason"]
 
     # The campaign directory passes a post-hoc integrity audit.
-    from repro.fsio.doctor import run_doctor
-
     audit = run_doctor([directory])
     assert audit.ok, audit.summary()
 
 
 def test_simulation_units_through_the_pool_match_in_process_runs(tmp_path):
-    """Smoke ``bench_cells`` units on mix1 build a real workload in
-    each pool worker: one worker and two must write the same bytes,
-    and a stored result must equal the unit run in this process."""
+    """Smoke ``fig6`` units on mix1 build a real workload in each pool
+    worker: one worker and two must write the same bytes, and a stored
+    result must equal the unit run in this process."""
     from repro.experiments.campaign_tasks import run_campaign_task
     from repro.harness import dump_json
 
@@ -366,24 +402,22 @@ def test_simulation_units_through_the_pool_match_in_process_runs(tmp_path):
         report = run_campaign(
             directory,
             scale="smoke",
-            experiments=["bench_cells"],
+            experiments=["fig6"],
             workloads=["mix1"],
             settings=CampaignSettings(
                 jobs=jobs, task_timeout=120, retries=0, backoff_base=0.01,
-                use_result_cache=False,
             ),
         )
-        assert report.ok and report.completed == 7
-        assert report.cache_hits == 0
+        assert report.ok and report.completed == 14
         directories[jobs] = directory
-    assert len(result_bytes(directories[1])) == 7
+    assert len(result_bytes(directories[1])) == 14
     assert result_bytes(directories[1]) == result_bytes(directories[2])
 
     stored = load_result(
         sorted((directories[2] / "results").glob("*.json"))[0]
     )
     assert stored["unit"]["mix"] == "mix1"
-    in_process = run_campaign_task("bench_cells", stored["unit"], "smoke")
+    in_process = run_campaign_task("fig6", stored["unit"], "smoke")
     assert dump_json(stored["result"]) == dump_json(in_process)
 
 

@@ -3,9 +3,8 @@
 The storage contract under test: however many bytes of a write
 actually reached the disk before the crash, no reader ever observes a
 *partial* record — every artefact class either validates completely or
-is rejected (and the layer above degrades: re-run the task, recompute
-the cache entry, rebuild the manifest from the results that do
-verify).  The harness tears the write at **every byte offset** via the
+is rejected (and the layer above degrades: re-run the task, rebuild
+the manifest from the results that do verify).  The harness tears the write at **every byte offset** via the
 fault injector's exact-cut mode, so there is no lucky boundary.
 """
 
@@ -62,31 +61,6 @@ def test_checkpoint_read_never_yields_partial_record(tmp_path):
     write_json_atomic(path, PAYLOAD, schema=RESULT_SCHEMA)
     verified, _sha = verify_result(path, PAYLOAD["task_id"])
     assert verified == PAYLOAD
-
-
-def test_result_cache_read_never_yields_partial_record(tmp_path):
-    from repro.memo.results import ResultCache
-
-    cache = ResultCache(tmp_path / "cache")
-    key = "cd" * 32
-    assert cache.put(
-        key, PAYLOAD, annotations={"fingerprint": "f" * 64, "task_id": "t"}
-    )
-    entry = cache.path_for(key)
-    data = entry.read_bytes()
-    served = cache.get(key)
-    assert served == PAYLOAD
-
-    for cut in range(len(data) + 1):
-        entry.parent.mkdir(exist_ok=True)
-        entry.write_bytes(data[:cut])
-        got = cache.get(key)
-        # a miss (quarantined or rejected) or the complete payload —
-        # never a truncated or mangled record
-        assert got is None or got == PAYLOAD, f"partial served at {cut}"
-    # the recompute path repairs the entry under the same key
-    assert cache.put(key, PAYLOAD)
-    assert cache.get(key) == PAYLOAD
 
 
 @pytest.mark.slow

@@ -71,22 +71,6 @@ def test_doctor_repair_quarantines_with_reason(tmp_path):
     assert run_doctor([tmp_path]).ok
 
 
-def test_doctor_flags_stale_cache_fingerprints(tmp_path):
-    from repro.memo.results import ResultCache
-
-    cache = ResultCache(tmp_path)
-    key = "ef" * 32
-    assert cache.put(
-        key, GOOD_PAYLOAD,
-        annotations={"fingerprint": "0" * 64, "task_id": "t1"},
-    )
-    report = run_doctor([tmp_path])
-    # stale is a warning — safe, self-healing — never a strict failure
-    assert report.ok
-    assert report.warnings
-    assert report.warnings[0].defect == "stale-fingerprint"
-
-
 def test_doctor_default_targets_cover_committed_artefacts():
     targets = [str(t) for t in default_targets(".")]
     assert any("BENCH_" in t for t in targets)

@@ -1,22 +1,8 @@
-"""Tests for run manifests and multi-seed repetition."""
-
-import pytest
+"""Tests for the policy and workload identity stamped into run metadata."""
 
 from repro.core import make_policy
-from repro.engine import Workload
 from repro.experiments.common import SMOKE
-from repro.experiments.repeat import (
-    policy_metric_fn,
-    run_with_seeds,
-    significant_difference,
-)
-from repro.manifest import (
-    build_manifest,
-    describe_policy,
-    describe_workload,
-    load_manifest,
-    save_manifest,
-)
+from repro.manifest import describe_policy, describe_workload
 
 
 def test_describe_policy_captures_tunables():
@@ -29,55 +15,8 @@ def test_describe_policy_captures_tunables():
     assert "dueling" in info and info["dueling"]["leader_groups"] == 32
 
 
-def test_manifest_roundtrip(tmp_path):
-    scale = SMOKE
-    config = scale.system()
-    workload = scale.workload("mix1", seed=3)
-    manifest = build_manifest(
-        config, make_policy("cp_sd"), workload, extra={"note": "unit test"}
-    )
-    assert manifest["workload"]["seed"] == 3
-    assert manifest["workload"]["apps"] == list(
-        __import__("repro.workloads.mixes", fromlist=["MIXES"]).MIXES["mix1"]
-    )
-    assert manifest["system"]["llc"]["n_sets"] == config.llc.n_sets
-    path = tmp_path / "run.json"
-    save_manifest(manifest, path)
-    assert load_manifest(path) == manifest
-
-
 def test_describe_workload():
     workload = SMOKE.workload("mix4", seed=1)
     info = describe_workload(workload)
     assert len(info["apps"]) == 4
     assert info["trace_records_per_core"] == len(workload.traces[0])
-
-
-# ----------------------------------------------------------------------
-def test_run_with_seeds_statistics():
-    stats = run_with_seeds(lambda s: {"x": float(s), "y": 2.0}, seeds=[1, 2, 3])
-    assert stats["x"]["mean"] == pytest.approx(2.0)
-    assert stats["x"]["min"] == 1.0 and stats["x"]["max"] == 3.0
-    assert stats["x"]["n"] == 3
-    assert stats["y"]["std"] == 0.0
-
-
-def test_run_with_seeds_requires_seeds():
-    with pytest.raises(ValueError):
-        run_with_seeds(lambda s: {}, seeds=[])
-
-
-def test_significant_difference():
-    a = {"mean": 1.0, "std": 0.1}
-    b = {"mean": 2.0, "std": 0.1}
-    c = {"mean": 1.1, "std": 0.2}
-    assert significant_difference(a, b)
-    assert not significant_difference(a, c)
-
-
-@pytest.mark.slow
-def test_policy_metric_fn_end_to_end():
-    fn = policy_metric_fn(SMOKE, "bh", "mix1", warmup_epochs=2, measure_epochs=1)
-    stats = run_with_seeds(fn, seeds=[0, 1])
-    assert stats["ipc"]["mean"] > 0
-    assert stats["nvm_bytes"]["mean"] > 0

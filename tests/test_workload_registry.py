@@ -1,12 +1,11 @@
-"""Workload family registry: refs, specs, fingerprints, new families.
+"""Workload family registry: refs, specs, new families.
 
 The registry's contract has two halves.  Backwards: the ``synthetic``
 family must be indistinguishable from the pre-registry code — bare mix
-names resolve, builds are byte-identical (the golden-digest gate), and
-memo fingerprints stay ``None`` so no cached result is orphaned.
-Forwards: every family is enumerable with a key-grade
-:class:`TargetSpec`, buildable at any scale, campaign-enumerable, and
-unknown references fail loudly with the valid choices attached.
+names resolve and builds are byte-identical (the golden-digest gate).
+Forwards: every family is enumerable with a :class:`TargetSpec`,
+buildable at any scale, campaign-enumerable, and unknown references
+fail loudly with the valid choices attached.
 """
 
 from dataclasses import replace
@@ -16,7 +15,6 @@ import pytest
 from repro.experiments.common import SMOKE
 from repro.workloads.registry import (
     DEFAULT_FAMILY,
-    TargetSpec,
     WorkloadFamily,
     WorkloadRefError,
     build_workload,
@@ -26,7 +24,6 @@ from repro.workloads.registry import (
     parse_workload_ref,
     register_family,
     resolve_workload_ref,
-    workload_ref_fingerprint,
     workload_refs,
 )
 
@@ -114,54 +111,6 @@ def test_every_builtin_target_has_a_spec():
             )
             assert all(0.0 <= f <= 1.0 for f in fractions)
             assert sum(fractions) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_spec_hash_is_stable_and_distinct():
-    spec = get_family("synthetic").target_spec("mix1")
-    again = get_family("synthetic").target_spec("mix1")
-    other = get_family("synthetic").target_spec("mix4")
-    assert spec.spec_hash == again.spec_hash
-    assert spec.spec_hash != other.spec_hash
-
-
-def test_spec_json_roundtrips_identity():
-    spec = get_family("datacenter").target_spec("kv_read")
-    data = spec.to_json()
-    rebuilt = TargetSpec(
-        family=data["family"],
-        target=data["target"],
-        cores=data["cores"],
-        description=data["description"],
-        footprint_blocks=data["footprint_blocks"],
-        hcr_fraction=data["hcr_fraction"],
-        lcr_fraction=data["lcr_fraction"],
-        incompressible_fraction=data["incompressible_fraction"],
-    )
-    assert rebuilt.spec_hash == spec.spec_hash
-
-
-# ----------------------------------------------------------------------
-# memo fingerprints
-
-def test_synthetic_fingerprint_is_none():
-    # bare mix names ARE the pre-registry memo key space: a synthetic
-    # fingerprint component would orphan every existing cache entry
-    assert workload_ref_fingerprint("mix1") is None
-    assert workload_ref_fingerprint("synthetic:mix1") is None
-
-
-def test_new_family_fingerprint_names_family_and_spec():
-    fp = workload_ref_fingerprint("datacenter:kv_read")
-    assert fp["family"] == "datacenter"
-    assert fp["target"] == "kv_read"
-    spec = get_family("datacenter").target_spec("kv_read")
-    assert fp["spec_hash"] == spec.spec_hash
-
-
-def test_fingerprints_differ_across_targets():
-    a = workload_ref_fingerprint("datacenter:kv_read")
-    b = workload_ref_fingerprint("datacenter:kv_write")
-    assert a["spec_hash"] != b["spec_hash"]
 
 
 # ----------------------------------------------------------------------
