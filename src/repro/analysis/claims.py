@@ -146,50 +146,6 @@ def measurements_from_study(study) -> Dict[str, float]:
     return out
 
 
-def measurements_from_records(records) -> Dict[str, float]:
-    """Build the claim-checker measurement dict from lifetime RunRecords.
-
-    Accepts the ``bound``/``forecast`` records that ``fig10a`` campaign
-    units produce (live objects or ``RunRecord.from_json`` round-trips)
-    and averages across mixes, mirroring
-    :func:`measurements_from_study`:
-
-    * ``forecast`` records contribute ``ipc_<policy>`` and
-      ``life_<policy>`` keyed by ``meta["unit"]["policy"]``;
-    * ``bound`` records contribute ``ipc_upper`` — the bound with the
-      most ways is the SRAM upper bound.
-    """
-    ipc_sums: Dict[str, List[float]] = {}
-    life_sums: Dict[str, List[float]] = {}
-    bounds: Dict[int, List[float]] = {}
-    for record in records:
-        unit = record.meta.get("unit", {})
-        if record.kind == "bound":
-            ways = int(unit.get("ways", 0))
-            value = record.metrics.get("forecast.bound_ipc")
-            if value is not None:
-                bounds.setdefault(ways, []).append(float(value))
-        elif record.kind == "forecast":
-            policy = unit.get("policy")
-            if policy is None:
-                continue
-            ipc = record.metrics.get("forecast.initial_ipc")
-            life = record.metrics.get("forecast.lifetime_seconds")
-            if ipc is not None:
-                ipc_sums.setdefault(policy, []).append(float(ipc))
-            if life is not None:
-                life_sums.setdefault(policy, []).append(float(life))
-    out: Dict[str, float] = {}
-    if bounds:
-        upper = bounds[max(bounds)]
-        out["ipc_upper"] = sum(upper) / len(upper)
-    for policy, values in ipc_sums.items():
-        out[f"ipc_{policy}"] = sum(values) / len(values)
-    for policy, values in life_sums.items():
-        out[f"life_{policy}"] = sum(values) / len(values)
-    return out
-
-
 def check_claims(
     measurements: Mapping[str, float], claims: Optional[List[Claim]] = None
 ) -> List[Dict[str, object]]:

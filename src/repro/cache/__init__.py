@@ -3,9 +3,8 @@
 from .block import BlockMeta, MetadataTable, ReuseClass
 from .cacheset import NVM, PART_NAMES, SRAM, CacheSet
 from .hierarchy import AccessOutcome, Level, MemoryHierarchy
-from .llc import EvictedBlock, HybridLLC, RequestResult
+from .llc import EvictedBlock, HybridLLC
 from .private_cache import PrivateCache
-from .replacement import fit_lru_victim, lru_victim, mru_victim_where
 from .stats import CoreStats, HierarchyStats, LLCStats
 
 __all__ = [
@@ -23,10 +22,6 @@ __all__ = [
     "NVM",
     "PART_NAMES",
     "PrivateCache",
-    "RequestResult",
     "ReuseClass",
     "SRAM",
-    "fit_lru_victim",
-    "lru_victim",
-    "mru_victim_where",
 ]

@@ -63,10 +63,6 @@ class MetadataTable:
             self._table[addr] = meta
         return meta
 
-    def drop(self, addr: int) -> None:
-        """Forget a block once its last hierarchy copy is gone."""
-        self._table.pop(addr, None)
-
     def classify_llc_hit(self, addr: int, is_getx: bool, copy_dirty: bool) -> BlockMeta:
         """Apply the Sec. IV-B hit rule and return the updated tag.
 

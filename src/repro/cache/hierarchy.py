@@ -23,11 +23,12 @@ block address to a per-core presence bitmask — one for L1 contents,
 one for L2 — updated on every private fill, eviction and invalidation.
 This is the precise sharer tracking a MOESI directory keeps in
 hardware; with it, GetX snoops (:meth:`_snoop_peers`), GetS
-cache-to-cache probes (:meth:`_probe_peers`) and metadata
-garbage-collection on LLC eviction (:meth:`_on_llc_eviction_to_memory`)
-are O(1) dictionary lookups instead of linear scans over every private
-cache per event.  The invariant — each mask equals the brute-force
-scan of the corresponding caches — is enforced by property tests
+cache-to-cache probes (a mask check in :meth:`access_level`) and
+metadata garbage-collection on LLC eviction
+(:meth:`_on_llc_eviction_to_memory`) are O(1) dictionary lookups
+instead of linear scans over every private cache per event.  The
+invariant — each mask equals the brute-force scan of the corresponding
+caches — is enforced by property tests
 (``tests/test_hierarchy_properties.py``).
 """
 
@@ -123,9 +124,10 @@ class MemoryHierarchy:
         """:meth:`access` without the outcome-tuple allocation.
 
         This is the engine's entry point: one call per demand access,
-        with the L1/L2 hit paths inlined (the dict-recency trick of
-        :class:`PrivateCache`) so the common case costs a handful of
-        dict operations and no nested method calls.
+        with the L1/L2 hit paths written out on the private caches'
+        per-set dicts (the dict-recency trick of :class:`PrivateCache`)
+        so the common case costs a handful of dict operations and no
+        nested method calls.
         """
         core_stats = self._core_stats[core]
         core_stats.accesses += 1
@@ -159,10 +161,10 @@ class MemoryHierarchy:
         l2.misses += 1
 
         # L2 miss: issue GetS/GetX to the shared LLC (directory home).
-        # The body of HybridLLC.request — classification, recency and
-        # invalidate-on-hit — is inlined here, as is the zero-sharers
-        # fast path of the GetX snoop / GetS peer probe; this region
-        # runs once per private-level miss.
+        # The LLC lookup — classification, recency and invalidate-on-hit
+        # — is written out here on the LLC's set arrays, as is the
+        # zero-sharers fast path of the GetX snoop / GetS peer probe;
+        # this region runs once per private-level miss.
         llc = self.llc
         cache_set = llc.sets[addr & llc._set_mask]
         llc_stats = llc.stats
@@ -225,7 +227,7 @@ class MemoryHierarchy:
                 llc_stats.gets_hits += 1
                 if on_hit is not None:
                     on_hit(cache_set, way, False)
-                # Inlined CacheSet.touch: promote to MRU unless there.
+                # Promote the way to MRU unless it is there already.
                 nxt = cache_set.rec_next
                 sentinel = cache_set.total_ways
                 if nxt[way] != sentinel:
@@ -268,8 +270,8 @@ class MemoryHierarchy:
                 self.stats.memory_reads += 1
 
         # Refill both private levels — every L2-missing access ends
-        # here.  This is the body of _fill_l2 + _fill_l1 (the methods
-        # below remain the building blocks for the other paths).
+        # here.  This repeats the bodies of _fill_l2 + _fill_l1 (the
+        # methods below serve the other paths).
         # ---- L2 fill ----
         entries = self._l2_sets[core][addr & self._l2_mask]
         sharers = self._sharer_l2
@@ -286,7 +288,8 @@ class MemoryHierarchy:
                 sharers[v_addr] = mask
             else:
                 del sharers[v_addr]
-            # Spill the L2 victim to the LLC (inlined fill_from_l2).
+            # Spill the L2 victim to the LLC: resident update / silent
+            # drop / fresh insert, as in _fill_l2.
             cache_set = llc.sets[v_addr & llc._set_mask]
             way = cache_set.way_of.get(v_addr)
             if way is not None:
@@ -296,7 +299,7 @@ class MemoryHierarchy:
                     llc_stats.updates_in_place += 1
                 else:
                     llc_stats.silent_drops += 1
-                # Inlined CacheSet.touch.
+                # Promote the resident way to MRU.
                 nxt = cache_set.rec_next
                 sentinel = cache_set.total_ways
                 if nxt[way] != sentinel:
@@ -357,7 +360,7 @@ class MemoryHierarchy:
 
     # ------------------------------------------------------------------
     def _fill_l1(self, core: int, addr: int, dirty: bool) -> None:
-        # Inlined PrivateCache.fill (dict-recency LRU) + sharer upkeep.
+        # Dict-recency LRU fill of this core's L1 + sharer upkeep.
         entries = self._l1_sets[core][addr & self._l1_mask]
         sharers = self._sharer_l1
         bit = 1 << core
@@ -404,9 +407,9 @@ class MemoryHierarchy:
                 sharers[v_addr] = mask
             else:
                 del sharers[v_addr]
-            # Spill the L2 victim to the LLC — the only LLC fill path.
-            # HybridLLC.fill_from_l2 is inlined here (resident update /
-            # silent drop / fresh insert), one spill per L2 eviction.
+            # Spill the L2 victim to the LLC — the only LLC fill path:
+            # resident update / silent drop / fresh insert, one spill
+            # per L2 eviction.
             llc = self.llc
             cache_set = llc.sets[v_addr & llc._set_mask]
             llc_stats = llc.stats
@@ -418,7 +421,7 @@ class MemoryHierarchy:
                     llc_stats.updates_in_place += 1
                 else:
                     llc_stats.silent_drops += 1
-                # Inlined CacheSet.touch.
+                # Promote the resident way to MRU.
                 nxt = cache_set.rec_next
                 sentinel = cache_set.total_ways
                 if nxt[way] != sentinel:
@@ -494,23 +497,12 @@ class MemoryHierarchy:
             del sharers_l2[addr]
         return found
 
-    def _probe_peers(self, requester: int, addr: int) -> Optional[bool]:
-        """GetS cache-to-cache probe: the owner keeps its copy (O/S
-        states) and forwards the data; returns its dirtiness if found.
-        Matches the pre-index scan order: the lowest-numbered sharing
-        core answers."""
-        mask = self._sharer_l2.get(addr, 0) & ~(1 << requester)
-        if not mask:
-            return None
-        core = (mask & -mask).bit_length() - 1
-        return self.l2[core].is_dirty(addr)
-
     # ------------------------------------------------------------------
     def _on_llc_eviction_to_memory(self, addr: int) -> None:
         """Drop the block tag once no hierarchy copy remains."""
         if addr in self._sharer_l1 or addr in self._sharer_l2:
             return
-        self.meta._table.pop(addr, None)  # inlined MetadataTable.drop
+        self.meta._table.pop(addr, None)
 
     # ------------------------------------------------------------------
     def sharer_masks(self, addr: int) -> Tuple[int, int]:

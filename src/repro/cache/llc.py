@@ -2,14 +2,18 @@
 
 The LLC owns the set array, the NVM fault map, the wear tracker and
 the statistics; all *decisions* (where to insert, which victim, when
-to migrate) are delegated to the bound insertion policy.  Protocol
-behaviour implemented here (Sec. III-A):
+to migrate) are delegated to the bound insertion policy.  The
+Sec. III-A protocol rules run in
+:meth:`~repro.cache.hierarchy.MemoryHierarchy.access_level` and the
+fills it calls, which work on this object's sets directly:
 
 * non-inclusive / mostly-exclusive: the LLC is only filled by L2
-  evictions (``fill_from_l2``); demand misses bypass it;
+  evictions (the hierarchy spills each L2 victim into
+  :meth:`HybridLLC._insert`); demand misses bypass it;
 * GetX requests that hit invalidate the LLC copy immediately
   (invalidate-on-hit), handing the block — and responsibility for its
-  dirty data — back to the private levels;
+  dirty data — back to the private levels; :meth:`HybridLLC.upgrade`
+  does the same for a store to a clean private line;
 * a dirty L2 eviction that finds a stale resident copy updates it in
   place (one frame write); a clean one is dropped silently.
 
@@ -28,7 +32,7 @@ from ..config import SystemConfig
 from ..core.policy import GLOBAL, FillContext, InsertionPolicy
 from ..nvm.faultmap import FaultMap
 from ..nvm.wear import WearTracker
-from .block import BlockMeta, MetadataTable, ReuseClass
+from .block import MetadataTable, ReuseClass
 from .cacheset import NVM, SRAM, CacheSet
 from .stats import LLCStats
 
@@ -44,19 +48,6 @@ class EvictedBlock(NamedTuple):
     csize: int
     reuse: ReuseClass
     part: int
-
-
-class RequestResult(NamedTuple):
-    """Outcome of an L2-originated GetS/GetX request."""
-
-    hit: bool
-    part: Optional[int]      # SRAM or NVM on a hit
-    dirty: bool              # resident copy was dirty (GetX takes it over)
-    invalidated: bool        # GetX invalidate-on-hit fired
-
-
-#: Shared miss result — immutable, so one instance serves every miss.
-_MISS = RequestResult(False, None, False, False)
 
 
 class HybridLLC:
@@ -120,10 +111,6 @@ class HybridLLC:
     def set_of(self, addr: int) -> CacheSet:
         return self.sets[addr & self._set_mask]
 
-    def bank_of(self, addr: int) -> int:
-        """Bank an address maps to (sets are interleaved across banks)."""
-        return (addr & self._set_mask) % self.geom.n_banks
-
     def sizes_of(self, addr: int) -> Tuple[int, int]:
         """(compressed size, ECB size) the LLC would store for ``addr``."""
         if not self._compressed or self._size_fn is None:
@@ -140,85 +127,6 @@ class HybridLLC:
         return self.set_of(addr).find(addr) is not None
 
     # ------------------------------------------------------------------
-    # request path (L2 miss -> GetS / GetX)
-    # ------------------------------------------------------------------
-    def request(
-        self, addr: int, is_getx: bool, meta_table: MetadataTable
-    ) -> RequestResult:
-        # One call per L2 miss: set lookup, metadata classification and
-        # recency update are inlined (classify_llc_hit semantics copied
-        # verbatim from MetadataTable).
-        cache_set = self.sets[addr & self._set_mask]
-        stats = self.stats
-        if is_getx:
-            stats.getx += 1
-        else:
-            stats.gets += 1
-        way = cache_set.way_of.get(addr)
-        if way is None:
-            return _MISS
-
-        copy_dirty = cache_set.dirty[way]
-        table = meta_table._table
-        meta = table.get(addr)
-        if meta is None:
-            meta = BlockMeta()
-            table[addr] = meta
-        meta.llc_hits += 1
-        if is_getx or copy_dirty:
-            meta.reuse = ReuseClass.WRITE
-        elif meta.reuse is not ReuseClass.WRITE:
-            meta.reuse = ReuseClass.READ
-        cache_set.reuse[way] = meta.reuse
-        if is_getx:
-            stats.getx_hits += 1
-        else:
-            stats.gets_hits += 1
-        if way < cache_set.sram_ways:
-            part = SRAM
-            stats.hits_sram += 1
-        else:
-            part = NVM
-            stats.hits_nvm += 1
-        if self._on_hit is not None:
-            self._on_hit(cache_set, way, is_getx)
-
-        if is_getx:
-            # Invalidate-on-hit: the block (with its dirty data) moves to
-            # the requester; no memory writeback happens here.
-            # (Inlined CacheSet.evict — the way is known valid.)
-            cache_set.tags[way] = None
-            cache_set.dirty[way] = False
-            cache_set.csize[way] = 0
-            cache_set.ecb[way] = 0
-            cache_set.reuse[way] = ReuseClass.NONE
-            # Inlined recency unlink (CacheSet.evict's link surgery).
-            prv = cache_set.rec_prev
-            nxt = cache_set.rec_next
-            before, after = prv[way], nxt[way]
-            nxt[before] = after
-            prv[after] = before
-            del cache_set.way_of[addr]
-            if part == SRAM:
-                cache_set.free_sram += 1
-            else:
-                cache_set.free_nvm += 1
-            return RequestResult(True, part, copy_dirty, True)
-        # Inlined CacheSet.touch: promote to MRU unless already there.
-        nxt = cache_set.rec_next
-        sentinel = cache_set.total_ways
-        if nxt[way] != sentinel:
-            prv = cache_set.rec_prev
-            before, after = prv[way], nxt[way]
-            nxt[before] = after
-            prv[after] = before
-            mru = prv[sentinel]
-            nxt[mru] = way
-            prv[way] = mru
-            nxt[way] = sentinel
-            prv[sentinel] = way
-        return RequestResult(True, part, copy_dirty, False)
-
     def upgrade(self, addr: int, meta_table: MetadataTable) -> bool:
         """A store hit a clean private line: acquire write permission.
 
@@ -238,45 +146,6 @@ class HybridLLC:
         return True
 
     # ------------------------------------------------------------------
-    # fill path (L2 eviction)
-    # ------------------------------------------------------------------
-    def fill_from_l2(self, addr: int, dirty: bool, meta_table: MetadataTable) -> None:
-        cache_set = self.sets[addr & self._set_mask]
-        stats = self.stats
-        way = cache_set.way_of.get(addr)
-        if way is not None:
-            if dirty:
-                cache_set.dirty[way] = True
-                self._charge_write(cache_set, way, cache_set.ecb[way])
-                stats.updates_in_place += 1
-            else:
-                stats.silent_drops += 1
-            # Inlined CacheSet.touch.
-            nxt = cache_set.rec_next
-            sentinel = cache_set.total_ways
-            if nxt[way] != sentinel:
-                prv = cache_set.rec_prev
-                before, after = prv[way], nxt[way]
-                nxt[before] = after
-                prv[after] = before
-                mru = prv[sentinel]
-                nxt[mru] = way
-                prv[way] = mru
-                nxt[way] = sentinel
-                prv[sentinel] = way
-            return
-
-        meta = meta_table._table.get(addr)
-        reuse = meta.reuse if meta is not None else ReuseClass.NONE
-        if self._compressed and self._size_fn is not None:
-            csize, ecb = self._size_fn(addr)
-        else:
-            csize = ecb = self.block_size
-        ctx = FillContext(addr, dirty, csize, ecb, reuse, cache_set.index)
-        stats.fills += 1
-        self._insert(cache_set, ctx, migrating=False)
-
-    # ------------------------------------------------------------------
     def _insert(
         self,
         cache_set: CacheSet,
@@ -286,12 +155,11 @@ class HybridLLC:
     ) -> bool:
         """Generic insertion: try parts in order, evict, write, account.
 
-        Runs once per LLC fill; the invalid-way scan (the common case)
-        and the victim-eviction/insert bookkeeping are inlined here
-        rather than routed through :func:`.replacement.usable_invalid_way` /
-        :meth:`CacheSet.evict` / :meth:`CacheSet.insert`.  Policy
-        decisions (``placement`` / ``choose_victim`` / migration) stay
-        virtual calls — they are the policies' interface.
+        Runs once per LLC fill; the invalid-way scan (the common case),
+        the victim eviction and the insert bookkeeping are written out
+        here on the set's arrays rather than called.  Policy decisions
+        (``placement`` / ``choose_victim`` / migration) stay virtual
+        calls — they are the policies' interface.
         """
         stats = self.stats
         if parts is None:
@@ -359,9 +227,9 @@ class HybridLLC:
             v_addr = tags[way]
             if v_addr is not None:
                 # Inlined CacheSet.evict + victim retirement.  The
-                # EvictedBlock record (and the _retire hop) is only
-                # materialised when an SRAM-eviction handler might
-                # consume the victim — the migrating policies.
+                # EvictedBlock record is only materialised when an
+                # SRAM-eviction handler might consume the victim — the
+                # migrating policies.
                 dirty_l = cache_set.dirty
                 v_dirty = dirty_l[way]
                 v_in_sram = way < sram_ways
@@ -397,7 +265,7 @@ class HybridLLC:
                     cb = self.on_block_to_memory
                     if cb is not None:
                         cb(v_addr)
-            # Inlined CacheSet.insert (the way is known to be empty).
+            # Place the block in the (now empty) way.
             tags[way] = ctx.addr
             cache_set.dirty[way] = ctx.dirty
             cache_set.csize[way] = ctx.csize
@@ -442,16 +310,6 @@ class HybridLLC:
         stats.bypasses += 1
         self._to_memory(ctx.addr, ctx.dirty)
         return False
-
-    def _retire(
-        self, cache_set: CacheSet, victim: EvictedBlock, migrating: bool
-    ) -> None:
-        """Dispose of a replacement victim: migrate or send to memory."""
-        if victim.part == SRAM and not migrating:
-            handler = self._handle_sram_eviction
-            if handler is not None and handler(cache_set, victim):
-                return
-        self._to_memory(victim.addr, victim.dirty)
 
     def _to_memory(self, addr: int, dirty: bool) -> None:
         if dirty:
@@ -509,17 +367,5 @@ class HybridLLC:
                     evicted += 1
         return evicted
 
-    def flush(self) -> None:
-        """Drop all resident blocks (dirty ones count as writebacks)."""
-        for cache_set in self.sets:
-            for way in list(cache_set.lru_order()):
-                addr, dirty, _csize, _reuse = cache_set.evict(way)
-                self._to_memory(addr, dirty)
-
     def resident_blocks(self) -> List[int]:
         return [addr for s in self.sets for addr in s.way_of]
-
-    def occupancy_fraction(self) -> float:
-        total = self.n_sets * self.geom.total_ways
-        used = sum(len(s.way_of) for s in self.sets)
-        return used / total if total else 0.0

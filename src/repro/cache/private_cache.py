@@ -7,22 +7,21 @@ Python dicts preserve insertion order, so the first key is the LRU
 entry and re-inserting a key on every hit maintains recency with O(1)
 operations.
 
-Hot-path note: set indexing (``self._sets[addr & self._set_mask]``) is
-inlined into every method rather than factored through a helper — the
-helper alone accounted for ~3.1M calls per short simulation — and
-:class:`~repro.cache.hierarchy.MemoryHierarchy` inlines the L1/L2
-lookup bodies into its access fast path the same way.  ``_sets`` and
+Lookups, fills and evictions live in
+:class:`~repro.cache.hierarchy.MemoryHierarchy`, which works on the
+per-set dicts directly on its access fast path (a set-indexing helper
+alone cost ~3.1M calls per short simulation).  ``_sets`` and
 ``_set_mask`` are therefore a stable internal interface for the
-hierarchy, not an implementation accident.
+hierarchy, not an implementation accident; this class keeps the
+geometry, the hit/miss counters, invalidation (GetX snoops) and
+read-only views.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..config import CacheGeometry
-
-Victim = Tuple[int, bool]  # (block address, dirty)
 
 
 class PrivateCache:
@@ -39,49 +38,7 @@ class PrivateCache:
         self.hits = 0
         self.misses = 0
 
-    # lookup() return codes
-    MISS = 0
-    HIT = 1
-    HIT_UPGRADE = 2  # a store turned a clean line dirty (needs GetX/Upgrade)
-
     # ------------------------------------------------------------------
-    def lookup(self, addr: int, is_write: bool = False) -> int:
-        """Access the cache; on a hit, update recency (and dirty).
-
-        Returns ``MISS``/``HIT``/``HIT_UPGRADE``; the upgrade code tells
-        the hierarchy that write permission must be acquired from the
-        directory (the line was clean before this store).
-        """
-        entries = self._sets[addr & self._set_mask]
-        if addr in entries:
-            was_dirty = entries.pop(addr)
-            entries[addr] = was_dirty or is_write
-            self.hits += 1
-            if is_write and not was_dirty:
-                return self.HIT_UPGRADE
-            return self.HIT
-        self.misses += 1
-        return self.MISS
-
-    def fill(self, addr: int, dirty: bool) -> Optional[Victim]:
-        """Insert a block, returning the evicted victim if the set spilled."""
-        entries = self._sets[addr & self._set_mask]
-        if addr in entries:
-            # Refresh an existing copy (e.g. writeback from an inner level).
-            entries[addr] = entries.pop(addr) or dirty
-            return None
-        victim: Optional[Victim] = None
-        if len(entries) >= self.ways:
-            v_addr = next(iter(entries))
-            victim = (v_addr, entries.pop(v_addr))
-        entries[addr] = dirty
-        return victim
-
-    def set_dirty(self, addr: int) -> None:
-        entries = self._sets[addr & self._set_mask]
-        if addr in entries:
-            entries[addr] = True
-
     def contains(self, addr: int) -> bool:
         return addr in self._sets[addr & self._set_mask]
 

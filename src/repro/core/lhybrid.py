@@ -47,9 +47,9 @@ class LHybridPolicy(InsertionPolicy):
         self, cache_set: CacheSet, part: int, ctx: FillContext
     ) -> Optional[int]:
         if part == SRAM:
-            # Most recent LB in SRAM (migration candidate), else SRAM LRU;
-            # inlined mru_victim_where/lru_victim as linked-list walks
-            # (rec_prev walks MRU-first), once per replacement.
+            # Most recent LB in SRAM (migration candidate), else SRAM LRU,
+            # as two walks of the linked recency order (rec_prev walks
+            # MRU-first), once per replacement.
             sram_ways = cache_set.sram_ways
             reuse = cache_set.reuse
             sentinel = cache_set.total_ways

@@ -80,10 +80,12 @@ class InsertionPolicy(abc.ABC):
     ) -> Optional[int]:
         """Victim way within ``part`` able to hold the incoming block.
 
-        (Fit-)LRU as a direct walk of the linked recency order: this
-        runs once per replacement, and the generic helpers' per-way
-        ``capacity_of`` callbacks dominated the NVM-unaware baselines'
-        runtime.
+        (Fit-)LRU as a direct walk of the linked recency order, reading
+        frame capacities straight from the fault-map row: this runs
+        once per replacement, and a per-way ``capacity_of`` callback
+        dominated the NVM-unaware baselines' runtime.
+        ``HybridLLC._insert`` inlines this walk for policies that do not
+        override it; LHybrid calls it for its NVM part.
         """
         assert self.llc is not None
         sram_ways = cache_set.sram_ways

@@ -25,8 +25,9 @@ from ..config import SetDuelingConfig
 from ..metrics.registry import register_metric
 
 # Duel outcomes, collected from a bound policy's controller when a
-# RunRecord is built; the per-access record_hit/record_nvm_write hooks
-# stay inlined plain-int arithmetic.
+# RunRecord is built.  The per-access sampling (a leader set's hits
+# and NVM bytes) is plain-int arithmetic on ``hits``/``writes`` in the
+# owning policy's ``on_hit``/``on_nvm_write`` hooks (``CPSDPolicy``).
 register_metric("policy", "current_cpth", "bytes",
                 "CP_th follower sets currently use (null for fixed policies)",
                 aggregation="last", attr="current_cpth")
@@ -129,16 +130,6 @@ class DuelingController:
         return self.candidates[self.winner_index]
 
     # ------------------------------------------------------------------
-    def record_hit(self, set_index: int) -> None:
-        slot = self._slot_of_set[set_index]
-        if slot >= 0:
-            self.hits[slot] += 1
-
-    def record_nvm_write(self, set_index: int, n_bytes: int) -> None:
-        slot = self._slot_of_set[set_index]
-        if slot >= 0:
-            self.writes[slot] += n_bytes
-
     def end_epoch(self) -> int:
         """Elect the next winner and reset the sampling counters."""
         self.winner_index = self.rule.elect(self.candidates, self.hits, self.writes)

@@ -261,9 +261,10 @@ class Simulation:
         # each other — far finer than the 2M-cycle epoch granularity.
         #
         # The burst body is the simulator's innermost loop.  It indexes
-        # the trace columns directly and inlines AnalyticalCore.account
-        # (same two float additions, so timing is bit-identical) to
-        # avoid per-record generator resumption and method dispatch.
+        # the trace columns directly and charges the core's time in
+        # place (``AnalyticalCore`` holds only the state and the
+        # penalty table) to avoid per-record generator resumption and
+        # method dispatch.
         burst = 64
         access_level = hierarchy.access_level
         columns = sim._columns

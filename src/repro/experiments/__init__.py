@@ -27,7 +27,6 @@ from .common import (
 from .compressibility import CompressibilityRow, classify_app, run_fig2
 from .cpth_sweep import SweepResult, run_cpth_sweep
 from .energy_study import run_energy_study
-from .figure_curves import render_study, study_capacity_curves, study_ipc_curves
 from .lifetime import (
     SENSITIVITY_POLICIES,
     STANDARD_POLICIES,
@@ -77,9 +76,6 @@ __all__ = [
     "run_fig11c_equal_cost",
     "run_migration_ablation",
     "run_wear_leveling_study",
-    "render_study",
-    "study_capacity_curves",
-    "study_ipc_curves",
     "run_fig2",
     "run_fig8a",
     "run_fig8b",

@@ -19,6 +19,7 @@ artefacts.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Any, List, Sequence, Tuple, Union
 
@@ -117,11 +118,18 @@ def _records_from_campaign(directory: Path) -> List[RunRecord]:
             records.append(record)
     # The campaign health record (scheduler.* / storage.* counters)
     # rides along when present, so exports carry the run's own health.
+    # A stale one (say, counters this version no longer registers) is
+    # skipped with a warning rather than blocking every result;
+    # ``doctor --strict`` still reports it and a resume rewrites it.
     from ..harness.scheduler import HEALTH_RECORD_NAME
 
     health_path = directory / HEALTH_RECORD_NAME
     if health_path.exists():
-        records.extend(_records_from_file(health_path))
+        try:
+            records.extend(_records_from_file(health_path))
+        except ExportError as exc:
+            print(f"warning: skipping the campaign health record {exc}",
+                  file=sys.stderr)
     if not records:
         raise ExportError(f"{directory}: campaign has no completed results")
     return records

@@ -14,13 +14,18 @@ is what the paper's normalised IPC curves measure.
 
 from __future__ import annotations
 
-from ..cache.hierarchy import Level
 from ..cache.stats import CoreStats
 from ..config import CoreConfig, LatencyConfig
 
 
 class AnalyticalCore:
-    """Time accounting for one core."""
+    """Time accounting state for one core.
+
+    The engine's burst loop (``Simulation._run``) does the charging: an
+    access and the ``gap`` non-memory instructions before it add
+    ``gap * base_cpi + base_cpi`` cycles, plus ``_penalty[level]`` for
+    the level that serviced the access.
+    """
 
     def __init__(
         self, core_id: int, core_config: CoreConfig, latency: LatencyConfig
@@ -41,16 +46,6 @@ class AnalyticalCore:
         self.cycles = 0.0
         self.instructions = 0
 
-    def account(self, gap_instructions: int, level: Level) -> float:
-        """Charge ``gap`` non-memory instructions plus one access.
-
-        Returns the core's new local time in cycles.
-        """
-        self.instructions += gap_instructions + 1
-        self.cycles += gap_instructions * self.base_cpi + self.base_cpi
-        self.cycles += self._penalty[level]
-        return self.cycles
-
     @property
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles else 0.0
@@ -58,7 +53,3 @@ class AnalyticalCore:
     def export(self, stats: CoreStats) -> None:
         stats.instructions = self.instructions
         stats.cycles = self.cycles
-
-    def reset(self) -> None:
-        self.cycles = 0.0
-        self.instructions = 0

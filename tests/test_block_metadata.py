@@ -46,15 +46,6 @@ def test_hit_counter_accumulates():
     assert table.get(9).llc_hits == 3
 
 
-def test_drop_forgets_block():
-    table = MetadataTable()
-    table.classify_llc_hit(1, False, False)
-    table.drop(1)
-    assert table.get(1) is None
-    assert len(table) == 0
-    table.drop(1)  # idempotent
-
-
 def test_get_does_not_create():
     table = MetadataTable()
     assert table.get(5) is None

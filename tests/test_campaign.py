@@ -33,6 +33,7 @@ from repro.harness.manifest import META_FORMAT, META_NAME
 from repro.harness.scheduler import HEALTH_RECORD_NAME
 from repro.manifest import canonical_json
 from repro.metrics import RunRecord, SchemaError
+from repro.metrics.export import load_records
 
 FAST = CampaignSettings(jobs=2, task_timeout=60, retries=2, backoff_base=0.01)
 
@@ -183,7 +184,7 @@ def test_resume_reruns_corrupted_result(tmp_path, reference_campaign):
 
 
 def test_resume_accepts_campaigns_stamped_with_a_backend(
-    tmp_path, reference_campaign
+    tmp_path, reference_campaign, capsys
 ):
     """Older campaigns carry a ``backend`` key in campaign.json,
     campaign.meta.json and every result payload.  Both resume paths
@@ -194,7 +195,8 @@ def test_resume_accepts_campaigns_stamped_with_a_backend(
     ``result_cache/`` directory, and their health record carries three
     counters that are no longer registered.  Resume skips every
     verified task, leaves the directory alone and rewrites the health
-    record in the current schema."""
+    record in the current schema.  Until then, export skips only the
+    stale health record."""
     directory = tmp_path / "stamped"
     shutil.copytree(reference_campaign, directory)
 
@@ -246,6 +248,13 @@ def test_resume_accepts_campaigns_stamped_with_a_backend(
     with pytest.raises(SchemaError):
         RunRecord.from_json(health_record(cached))
     assert not run_doctor([cached]).ok
+    capsys.readouterr()
+    records = load_records([cached])
+    assert len(records) == 5
+    assert all(record.kind != "campaign-health" for record in records)
+    warning = capsys.readouterr().err
+    assert warning.count("\n") == 1
+    assert HEALTH_RECORD_NAME in warning and "scheduler.cache_hits" in warning
 
     resumed = run_campaign(cached, resume=True, settings=FAST)
     assert resumed.ok

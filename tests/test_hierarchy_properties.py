@@ -34,7 +34,7 @@ def check_invariants(h: MemoryHierarchy) -> None:
             assert cs.tags[way] == addr
         # 2. recency is a permutation of the valid ways
         valid = [w for w in range(cs.total_ways) if cs.tags[w] is not None]
-        assert sorted(cs.recency) == sorted(valid)
+        assert sorted(cs.lru_order()) == sorted(valid)
         # 3. resident blocks fit their frames
         for way in range(cs.sram_ways, cs.total_ways):
             if cs.tags[way] is not None:

@@ -1,183 +1,211 @@
-"""Tests for the hybrid LLC request/fill paths (Sec. III-A protocol)."""
+"""The hybrid LLC's Sec. III-A protocol, driven through the hierarchy.
 
-import pytest
+Every test runs :meth:`MemoryHierarchy.access` on the scripted
+hierarchy of ``tests/_hierarchy.py``.  The three refill outcomes —
+fresh insert, silent drop, update in place — are checked at both
+places an L2 victim reaches the LLC: ``access_level``'s own spill
+(site 1) and ``_fill_l2``'s (site 2).
+"""
 
-from repro.cache.block import MetadataTable, ReuseClass
+from _hierarchy import (
+    A, B, C, D, E, build, part_of, read, stage_site1_dirty_refill,
+    stage_site2_refill,
+)
+
+from repro.cache.block import ReuseClass
 from repro.cache.cacheset import NVM, SRAM
-from repro.cache.llc import HybridLLC
-from repro.config import HybridGeometry, SystemConfig
-from repro.core import make_policy
+from repro.cache.hierarchy import Level
+from repro.compression.encodings import ecb_size
+
+ECB_30 = ecb_size(30)  # 32 bytes
 
 
-def make_llc(policy_name="bh_cp", n_sets=4, sram=2, nvm=4, size_fn=None, **kw):
-    config = SystemConfig(
-        llc=HybridGeometry(
-            n_sets=n_sets, sram_ways=sram, nvm_ways=nvm, n_banks=min(2, n_sets)
-        )
-    )
-    policy = make_policy(policy_name, **kw)
-    return HybridLLC(config, policy, size_fn=size_fn), MetadataTable()
+def assert_writes_are_fills(h):
+    """Every frame write so far was a fill: no refill wrote a frame."""
+    stats = h.llc.stats
+    assert stats.updates_in_place == 0
+    assert stats.nvm_writes == stats.fills_nvm
+    assert stats.sram_writes == stats.fills_sram
+    assert stats.nvm_bytes_written == ECB_30 * stats.fills_nvm
+    assert h.llc.wear.total_bytes_written() == stats.nvm_bytes_written
+
+
+def frame_bytes(h, addr):
+    """Bytes the wear tracker charged to the NVM frame holding ``addr``."""
+    cs = h.llc.set_of(addr)
+    return h.llc.wear.bytes_written[cs.index, cs.nvm_way(cs.find(addr))]
 
 
 def test_miss_then_fill_then_hit():
-    llc, meta = make_llc()
-    result = llc.request(100, is_getx=False, meta_table=meta)
-    assert not result.hit
-    llc.fill_from_l2(100, dirty=False, meta_table=meta)
-    assert llc.contains(100)
-    result = llc.request(100, is_getx=False, meta_table=meta)
-    assert result.hit and not result.invalidated
-    assert llc.contains(100)  # GetS leaves the copy
+    h = build("bh_cp")
+    assert h.access(0, A, False).level == Level.MEMORY
+    # a demand miss bypasses the LLC: GetS counted, nothing filled
+    assert h.llc.stats.gets == 1 and h.llc.stats.fills == 0
+    assert not h.llc.contains(A)
+    read(h, B, C)               # site 1: C's L2 miss spills A, a fresh insert
+    assert h.llc.contains(A) and h.llc.stats.fills == 1
+    outcome = h.access(0, A, False)
+    assert outcome.llc_hit and h.llc.stats.gets_hits == 1
+    assert h.llc.contains(A)    # GetS leaves the copy
+
+    # site 2: _fill_l2's spill of D is a fresh insert too
+    h = stage_site2_refill("bh_cp")
+    assert h.llc.contains(D) and h.llc.stats.fills == 3
 
 
 def test_getx_invalidate_on_hit():
-    llc, meta = make_llc()
-    llc.fill_from_l2(100, dirty=True, meta_table=meta)
-    result = llc.request(100, is_getx=True, meta_table=meta)
-    assert result.hit and result.invalidated and result.dirty
-    assert not llc.contains(100)
-    assert llc.stats.writebacks_to_memory == 0  # data went to the requester
+    h = build("bh_cp")
+    h.access(0, A, True)
+    read(h, B, C)               # A's dirty L2 exit fills the LLC
+    cs = h.llc.set_of(A)
+    assert cs.dirty[cs.find(A)]
+    outcome = h.access(0, A, True)
+    assert outcome.llc_hit and h.llc.stats.getx_hits == 1
+    assert not h.llc.contains(A)
+    assert h.l2[0].is_dirty(A)  # the dirty data went to the requester
+    assert h.llc.stats.writebacks_to_memory == 0
 
 
 def test_upgrade_invalidates_copy():
-    llc, meta = make_llc()
-    llc.fill_from_l2(100, dirty=False, meta_table=meta)
-    assert llc.upgrade(100, meta)
-    assert not llc.contains(100)
-    assert meta.get(100).reuse is ReuseClass.WRITE
-    assert llc.stats.upgrades == 1 and llc.stats.upgrade_hits == 1
-    assert not llc.upgrade(100, meta)  # second time: no copy
+    h = build("bh_cp")
+    read(h, A, B, C)            # A in the LLC
+    read(h, A)                  # GetS hit: A back in L1, clean
+    assert h.llc.contains(A)
+    h.access(0, A, True)        # a store to the clean L1 line upgrades
+    assert not h.llc.contains(A)
+    assert h.meta.get(A).reuse is ReuseClass.WRITE
+    assert h.llc.stats.upgrades == 1 and h.llc.stats.upgrade_hits == 1
+    read(h, D)
+    h.access(0, D, True)        # upgrade of a block the LLC never held
+    assert h.llc.stats.upgrades == 2 and h.llc.stats.upgrade_hits == 1
 
 
 def test_clean_refill_is_silent_drop():
-    llc, meta = make_llc()
-    llc.fill_from_l2(100, dirty=False, meta_table=meta)
-    before = llc.stats.nvm_bytes_written + llc.stats.sram_writes
-    llc.fill_from_l2(100, dirty=False, meta_table=meta)
-    after = llc.stats.nvm_bytes_written + llc.stats.sram_writes
-    assert llc.stats.silent_drops == 1
-    assert before == after  # no write happened
+    # site 1: E's L2 miss evicts A, which a GetS hit brought back clean
+    h = build("ca_rwr", size=30)
+    read(h, A, B, C)            # C's L2 miss spills A into NVM
+    read(h, A, D)               # GetS hit keeps the LLC copy
+    fills = h.llc.stats.fills
+    read(h, E)
+    assert not h.l2[0].contains(A)
+    assert h.llc.stats.silent_drops == 1 and h.llc.stats.fills == fills
+    assert part_of(h, A) == NVM
+    assert frame_bytes(h, A) == ECB_30
+    assert_writes_are_fills(h)
+
+    # site 2: _fill_l2 evicts clean A while the LLC still holds it
+    h = stage_site2_refill("ca_rwr", size=30)
+    read(h, E)
+    assert not h.l2[0].contains(A)
+    assert h.llc.stats.silent_drops == 1
+    assert part_of(h, A) == NVM
+    assert frame_bytes(h, A) == ECB_30
+    assert_writes_are_fills(h)
 
 
 def test_dirty_refill_updates_in_place():
-    llc, meta = make_llc()
-    llc.fill_from_l2(100, dirty=False, meta_table=meta)
-    llc.fill_from_l2(100, dirty=True, meta_table=meta)
-    assert llc.stats.updates_in_place == 1
-    way = llc.set_of(100).find(100)
-    assert llc.set_of(100).dirty[way]
+    for h, last in (
+        (stage_site1_dirty_refill("ca_rwr", size=30), D),
+        (stage_site2_refill("ca_rwr", dirty=True, size=30), E),
+    ):
+        stats = h.llc.stats
+        cs = h.llc.set_of(A)
+        assert not cs.dirty[cs.find(A)]
+        nvm_bytes, fills_nvm = stats.nvm_bytes_written, stats.fills_nvm
+        read(h, last)
+        assert not h.l2[0].contains(A)
+        assert stats.updates_in_place == 1 and stats.silent_drops == 0
+        assert cs.dirty[cs.find(A)]
+        # one more write of A's resident ECB, besides any fresh fills
+        assert stats.nvm_writes == stats.fills_nvm + 1
+        assert stats.nvm_bytes_written == (
+            nvm_bytes + ECB_30 * (stats.fills_nvm - fills_nvm + 1)
+        )
+        assert frame_bytes(h, A) == 2 * ECB_30
 
 
 def test_reuse_classification_on_hits():
-    llc, meta = make_llc()
-    llc.fill_from_l2(100, dirty=False, meta_table=meta)
-    llc.request(100, is_getx=False, meta_table=meta)
-    assert meta.get(100).reuse is ReuseClass.READ
-    llc.request(100, is_getx=True, meta_table=meta)
-    assert meta.get(100).reuse is ReuseClass.WRITE
+    h = build("bh_cp")
+    read(h, A, B, C)
+    read(h, A)                  # clean GetS hit
+    assert h.meta.get(A).reuse is ReuseClass.READ
+    read(h, D, E)               # A's clean L2 exit: silent drop
+    assert h.llc.contains(A)
+    h.access(0, A, True)        # GetX hit
+    assert h.meta.get(A).reuse is ReuseClass.WRITE
 
 
 def test_eviction_writes_back_dirty_blocks():
-    llc, meta = make_llc(n_sets=1, sram=1, nvm=1)
-    # same set: capacity 2 blocks (bh_cp = global fit-LRU)
-    llc.fill_from_l2(0, dirty=True, meta_table=meta)
-    llc.fill_from_l2(4, dirty=False, meta_table=meta)
-    llc.fill_from_l2(8, dirty=False, meta_table=meta)  # evicts block 0
-    assert llc.stats.evictions == 1
-    assert llc.stats.writebacks_to_memory == 1
+    h = build("bh_cp", sram=1, nvm=1)  # global fit-LRU over 2 frames
+    h.access(0, A, True)
+    read(h, B, C)               # A leaves L2 dirty
+    read(h, D, E)               # B, then C: the LLC evicts LRU A
+    assert not h.llc.contains(A)
+    assert h.llc.stats.evictions == 1
+    assert h.llc.stats.writebacks_to_memory == 1
 
 
 def test_on_block_to_memory_callback():
     seen = []
-    llc, meta = make_llc(n_sets=1, sram=1, nvm=0)
-    llc.on_block_to_memory = seen.append
-    llc.fill_from_l2(0, dirty=False, meta_table=meta)
-    llc.fill_from_l2(4, dirty=False, meta_table=meta)
-    assert seen == [0]
+    h = build("bh", sram=1, nvm=0)
+    forward = h.llc.on_block_to_memory
+    h.llc.on_block_to_memory = lambda addr: (seen.append(addr), forward(addr))
+    read(h, A, B, C, D)         # D's spill of B displaces A
+    assert seen == [A]
+    assert h.meta.get(A) is None  # no copy left anywhere: tag dropped
 
 
 def test_nvm_write_charges_wear_and_stats():
-    size_fn = lambda addr: (30, 32)
-    llc, meta = make_llc(size_fn=size_fn, policy_name="ca", cpth=37)
-    llc.fill_from_l2(100, dirty=False, meta_table=meta)  # small -> NVM
-    assert llc.stats.fills_nvm == 1
-    assert llc.stats.nvm_bytes_written == 32
-    assert llc.wear.total_bytes_written() == 32
+    h = build("ca", size=30, cpth=37)
+    read(h, A, B, C)            # 30 B <= 37: NVM
+    assert h.llc.stats.fills_nvm == 1
+    assert h.llc.stats.nvm_bytes_written == ECB_30
+    assert h.llc.wear.total_bytes_written() == ECB_30
 
 
 def test_sram_write_not_charged_to_wear():
-    size_fn = lambda addr: (64, 64)
-    llc, meta = make_llc(size_fn=size_fn, policy_name="ca", cpth=37)
-    llc.fill_from_l2(100, dirty=False, meta_table=meta)  # big -> SRAM
-    assert llc.stats.fills_sram == 1
-    assert llc.stats.nvm_bytes_written == 0
-    assert llc.stats.sram_writes == 1
+    h = build("ca", size=64, cpth=37)
+    read(h, A, B, C)            # 64 B > 37: SRAM
+    assert h.llc.stats.fills_sram == 1
+    assert h.llc.stats.nvm_bytes_written == 0
+    assert h.llc.stats.sram_writes == 1
+    assert h.llc.wear.total_bytes_written() == 0
 
 
 def test_fit_lru_fallback_to_sram_when_frames_too_small():
-    size_fn = lambda addr: (58, 60)
-    llc, meta = make_llc(size_fn=size_fn, policy_name="ca", cpth=64)
-    # ruin all NVM frames of set 0 below 60 bytes
+    h = build("ca", size=58, cpth=64)   # ECB 60
     for w in range(4):
-        llc.faultmap.set_capacity(0, w, 40)
-    llc.fill_from_l2(0, dirty=False, meta_table=meta)
-    cs = llc.set_of(0)
-    way = cs.find(0)
-    assert cs.part_of(way) == SRAM  # paper: unfit NVM blocks go to SRAM
+        h.llc.faultmap.set_capacity(0, w, 40)
+    read(h, A, B, C)
+    assert part_of(h, A) == SRAM    # paper: unfit NVM blocks go to SRAM
 
 
 def test_bypass_when_nothing_fits():
-    size_fn = lambda addr: (58, 60)
-    llc, meta = make_llc(size_fn=size_fn, policy_name="ca", cpth=64, sram=0, nvm=4)
+    h = build("ca", size=58, cpth=64, sram=0, nvm=4)
     for w in range(4):
-        llc.faultmap.set_capacity(0, w, 10)
-    llc.fill_from_l2(0, dirty=True, meta_table=meta)
-    assert llc.stats.bypasses == 1
-    assert llc.stats.writebacks_to_memory == 1
-    assert not llc.contains(0)
+        h.llc.faultmap.set_capacity(0, w, 10)
+    h.access(0, A, True)
+    read(h, B, C)               # A leaves L2 dirty: no frame can hold it
+    assert h.llc.stats.bypasses == 1
+    assert h.llc.stats.writebacks_to_memory == 1
+    assert not h.llc.contains(A)
 
 
 def test_frame_disabling_policy_needs_full_frames():
-    llc, meta = make_llc(policy_name="bh", n_sets=1, sram=0, nvm=2)
-    llc.faultmap.kill_bytes(0, 0, 1)  # frame granularity: whole frame dies
-    assert llc.faultmap.capacity(0, 0) == 0
-    llc.fill_from_l2(0, dirty=False, meta_table=meta)
-    llc.fill_from_l2(4, dirty=False, meta_table=meta)
-    # only one usable frame remains; second fill evicted the first block
-    assert llc.stats.evictions == 1
-    assert len(llc.set_of(0).way_of) == 1
+    h = build("bh", sram=0, nvm=2)
+    h.llc.faultmap.kill_bytes(0, 0, 1)  # frame granularity: whole frame dies
+    assert h.llc.faultmap.capacity(0, 0) == 0
+    read(h, A, B, C, D)         # A, then B spill into the one usable frame
+    assert h.llc.stats.evictions == 1
+    assert len(h.llc.sets[0].way_of) == 1 and h.llc.contains(B)
 
 
 def test_reconcile_faults_evicts_unfit_blocks():
-    size_fn = lambda addr: (30, 32)
-    llc, meta = make_llc(size_fn=size_fn, policy_name="ca", cpth=37)
-    llc.fill_from_l2(100, dirty=True, meta_table=meta)
-    cs = llc.set_of(100)
-    way = cs.find(100)
-    llc.faultmap.set_capacity(cs.index, cs.nvm_way(way), 10)
-    evicted = llc.reconcile_faults()
-    assert evicted == 1
-    assert not llc.contains(100)
-    assert llc.stats.writebacks_to_memory == 1
-
-
-def test_flush_writes_back_dirty():
-    llc, meta = make_llc()
-    llc.fill_from_l2(0, dirty=True, meta_table=meta)
-    llc.fill_from_l2(1, dirty=False, meta_table=meta)
-    llc.flush()
-    assert llc.stats.writebacks_to_memory == 1
-    assert llc.resident_blocks() == []
-
-
-def test_bank_interleaving():
-    llc, _meta = make_llc(n_sets=4)
-    banks = {llc.bank_of(addr) for addr in range(8)}
-    assert banks == {0, 1}
-
-
-def test_occupancy_fraction():
-    llc, meta = make_llc(n_sets=2, sram=1, nvm=1)
-    assert llc.occupancy_fraction() == 0.0
-    llc.fill_from_l2(0, dirty=False, meta_table=meta)
-    assert llc.occupancy_fraction() == pytest.approx(0.25)
+    h = build("ca", size=30, cpth=37)
+    h.access(0, A, True)
+    read(h, B, C)               # dirty A in NVM
+    cs = h.llc.set_of(A)
+    h.llc.faultmap.set_capacity(cs.index, cs.nvm_way(cs.find(A)), 10)
+    assert h.llc.reconcile_faults() == 1
+    assert not h.llc.contains(A)
+    assert h.llc.stats.writebacks_to_memory == 1

@@ -1,28 +1,21 @@
 """Integration of CP_SD's Set Dueling with the live LLC."""
 
-import pytest
+from _hierarchy import build, part_of, read
 
-from repro.cache.block import MetadataTable
 from repro.cache.cacheset import NVM, SRAM
-from repro.cache.llc import HybridLLC
-from repro.config import HybridGeometry, SetDuelingConfig, SystemConfig
-from repro.core import make_policy
+
+# Follower-set blocks (set 7; 64 LLC sets, 32 leader groups, 6
+# candidates) that push a block out of core 0's two-way L2.
+PUSH = (0x07, 0x47)
 
 
-def make_llc(n_sets=64, size=30):
-    config = SystemConfig(
-        llc=HybridGeometry(n_sets=n_sets, sram_ways=2, nvm_ways=4, n_banks=2),
-        dueling=SetDuelingConfig(),
-    )
-    policy = make_policy("cp_sd")
-    from repro.compression.encodings import ecb_size
-
-    llc = HybridLLC(config, policy, size_fn=lambda addr: (size, ecb_size(size)))
-    return llc, policy, MetadataTable()
+def make_hierarchy(size=30, policy="cp_sd", **policy_kw):
+    h = build(policy, size=size, llc_sets=64, **policy_kw)
+    return h, h.llc.policy
 
 
 def test_leader_sets_use_their_own_threshold():
-    llc, policy, _meta = make_llc()
+    _h, policy = make_hierarchy()
     ctrl = policy.controller
     assert ctrl is not None
     # leader of candidate 0 (CP_th=30) vs leader of candidate 5 (64)
@@ -32,53 +25,49 @@ def test_leader_sets_use_their_own_threshold():
 
 
 def test_leader_placement_differs_by_threshold():
-    """A 44-byte block goes to NVM in a CP_th=58 leader set but to SRAM
+    """A 44-byte block goes to NVM in a CP_th=51 leader set but to SRAM
     in a CP_th=30 leader set."""
-    llc, policy, meta = make_llc(size=44)
+    h, _policy = make_hierarchy(size=44)
     # set 4 is the leader of candidate 51; set 0 of candidate 30
     addr_low = 0    # maps to set 0 (CP_th=30): 44 > 30 -> SRAM
     addr_high = 4   # maps to set 4 (CP_th=51): 44 <= 51 -> NVM
-    llc.fill_from_l2(addr_low, False, meta)
-    llc.fill_from_l2(addr_high, False, meta)
-    s0, s4 = llc.set_of(addr_low), llc.set_of(addr_high)
-    assert s0.part_of(s0.find(addr_low)) == SRAM
-    assert s4.part_of(s4.find(addr_high)) == NVM
+    read(h, addr_low, addr_high, *PUSH)  # both leave L2 for the LLC
+    assert part_of(h, addr_low) == SRAM
+    assert part_of(h, addr_high) == NVM
 
 
 def test_hits_and_writes_feed_the_controller():
-    llc, policy, meta = make_llc()
+    h, policy = make_hierarchy()
     ctrl = policy.controller
     # fill + hit in leader set 2 (candidate 44)
-    llc.fill_from_l2(2, False, meta)           # set 2, small -> NVM write
-    assert ctrl.writes[2] > 0
-    llc.request(2, is_getx=False, meta_table=meta)
+    read(h, 2, *PUSH)           # set 2, small -> NVM write
+    assert part_of(h, 2) == NVM
+    assert ctrl.writes[2] == 32
+    assert h.access(0, 2, False).llc_hit
     assert ctrl.hits[2] == 1
     # follower set activity does not pollute the samplers
-    before = list(ctrl.hits)
-    llc.fill_from_l2(40, False, meta)          # set 40 (40 % 32 = 8): follower
-    llc.request(40, False, meta)
-    assert ctrl.hits == before
+    before = (list(ctrl.hits), list(ctrl.writes))
+    read(h, 40, *PUSH)          # set 40 (40 % 32 = 8): follower
+    assert part_of(h, 40) == NVM
+    assert h.access(0, 40, False).llc_hit
+    assert (ctrl.hits, ctrl.writes) == before
 
 
 def test_end_epoch_changes_followers():
-    llc, policy, meta = make_llc()
+    h, policy = make_hierarchy()
     ctrl = policy.controller
     ctrl.hits[0] = 99  # make CP_th=30 the winner
-    llc.end_epoch()
+    h.end_epoch()
     assert ctrl.current_winner == 30
     assert policy.cpth_for_set(40) == 30  # follower adopted it
     assert policy.cpth_for_set(5) == 64   # leader unchanged
 
 
 def test_th_variant_considers_writes():
-    config = SystemConfig(
-        llc=HybridGeometry(n_sets=64, sram_ways=2, nvm_ways=4, n_banks=2)
-    )
-    policy = make_policy("cp_sd_th", th=8.0, tw=5.0)
-    llc = HybridLLC(config, policy, size_fn=lambda addr: (30, 32))
+    h, policy = make_hierarchy(policy="cp_sd_th", th=8.0, tw=5.0)
     ctrl = policy.controller
     ctrl.hits[:] = [98, 99, 100, 100, 100, 100]
     ctrl.writes[:] = [10, 50, 100, 100, 100, 100]
-    llc.end_epoch()
+    h.end_epoch()
     # Eq. (1): CP_th=30 keeps >92% of hits and cuts writes by >5%
     assert ctrl.current_winner == 30

@@ -1,106 +1,96 @@
 """Edge-path tests for the LLC: dead parts, failed migrations, mixes
-of granularities and geometries."""
+of granularities and geometries, driven through the hierarchy."""
 
-import pytest
+from _hierarchy import A, B, C, D, E, build, part_of, read, stage_site1_dirty_refill
 
-from repro.cache.block import MetadataTable, ReuseClass
+from repro.cache.block import ReuseClass
 from repro.cache.cacheset import NVM, SRAM
-from repro.cache.llc import HybridLLC
-from repro.compression.encodings import ecb_size
-from repro.config import HybridGeometry, SystemConfig
-from repro.core import make_policy
-
-
-def make_llc(policy_name="ca_rwr", n_sets=2, sram=1, nvm=2, size=30, **kw):
-    config = SystemConfig(
-        llc=HybridGeometry(n_sets=n_sets, sram_ways=sram, nvm_ways=nvm, n_banks=1)
-    )
-    policy = make_policy(policy_name, **kw)
-    size_fn = (lambda addr: (size, ecb_size(size))) if policy.compressed else None
-    return HybridLLC(config, policy, size_fn=size_fn), MetadataTable()
-
-
-def fill(llc, meta, addr, dirty=False):
-    llc.fill_from_l2(addr, dirty, meta)
+from repro.cache.hierarchy import Level
 
 
 def test_migration_fails_when_nvm_dead_victim_goes_to_memory():
-    llc, meta = make_llc(size=64)  # incompressible: non-reused -> SRAM
+    h = build("ca_rwr", size=64, sram=1, nvm=2)  # incompressible: SRAM
     for w in range(2):
-        llc.faultmap.disable_frame(0, w)
-    # resident read-reused block in the single SRAM way of set 0
-    fill(llc, meta, 0, dirty=True)
-    llc.request(0, is_getx=False, meta_table=meta)
-    assert meta.get(0).reuse is ReuseClass.WRITE or meta.get(0).reuse is ReuseClass.READ
-    cs = llc.set_of(0)
-    cs.reuse[cs.find(0)] = ReuseClass.READ  # force the migration path
-    # displacing fill: migration to NVM impossible -> dirty writeback
-    before = llc.stats.writebacks_to_memory
-    fill(llc, meta, 2)  # same set (2 sets -> addr 2 maps to set 0)
-    assert not llc.contains(0)
-    assert llc.stats.writebacks_to_memory == before + 1
-    assert llc.stats.migrations_to_nvm == 0
+        h.llc.faultmap.disable_frame(0, w)
+    h.access(0, A, True)
+    read(h, B, C)               # dirty A takes the single SRAM way
+    cs = h.llc.set_of(A)
+    assert part_of(h, A) == SRAM and cs.dirty[cs.find(A)]
+    cs.reuse[cs.find(A)] = ReuseClass.READ  # force the migration path
+    # B's spill displaces A: migration to the dead NVM part fails, so
+    # A's dirty data goes to memory exactly once
+    read(h, D)
+    assert not h.llc.contains(A) and part_of(h, B) == SRAM
+    assert h.llc.stats.writebacks_to_memory == 1
+    assert h.llc.stats.migrations_to_nvm == 0
 
 
 def test_gets_hit_on_dirty_copy_keeps_ownership():
-    llc, meta = make_llc()
-    fill(llc, meta, 0, dirty=True)
-    result = llc.request(0, is_getx=False, meta_table=meta)
-    assert result.hit and result.dirty and not result.invalidated
-    cs = llc.set_of(0)
-    assert cs.dirty[cs.find(0)]  # LLC stays the owner (O state)
-    assert meta.get(0).reuse is ReuseClass.WRITE  # dirty hit classifies WRITE
+    h = build("ca_rwr")
+    h.access(0, A, True)
+    read(h, B, C)               # dirty A in the LLC
+    outcome = h.access(0, A, False)
+    assert outcome.llc_hit
+    cs = h.llc.set_of(A)
+    assert cs.dirty[cs.find(A)]  # LLC stays the owner (O state)
+    assert not h.l2[0].is_dirty(A)  # the requester gets a clean copy
+    assert h.meta.get(A).reuse is ReuseClass.WRITE  # dirty hit: WRITE
 
 
 def test_bh_with_every_frame_dead_bypasses():
-    llc, meta = make_llc(policy_name="bh", sram=0, nvm=2)
+    h = build("bh", sram=0, nvm=2)
     for w in range(2):
-        llc.faultmap.disable_frame(0, w)
-        llc.faultmap.disable_frame(1, w)
-    fill(llc, meta, 0, dirty=True)
-    assert llc.stats.bypasses == 1
-    assert llc.stats.writebacks_to_memory == 1
+        h.llc.faultmap.disable_frame(0, w)
+    h.access(0, A, True)
+    read(h, B, C)
+    assert h.llc.stats.bypasses == 1
+    assert h.llc.stats.writebacks_to_memory == 1
 
 
 def test_sram_policy_on_hybrid_geometry_ignores_nvm():
-    llc, meta = make_llc(policy_name="sram", sram=1, nvm=2)
-    for addr in (0, 2, 4):
-        fill(llc, meta, addr)
-    cs = llc.set_of(0)
+    h = build("sram", sram=1, nvm=2)
+    read(h, A, B, C, D, E)      # A, B and C spill
+    cs = h.llc.sets[0]
     assert cs.occupancy(SRAM) == 1
     assert cs.occupancy(NVM) == 0
-    assert llc.stats.nvm_writes == 0
+    assert h.llc.stats.nvm_writes == 0
 
 
 def test_partial_capacity_prefers_fitting_invalid_frame():
-    llc, meta = make_llc(size=44)  # ecb 46
-    llc.faultmap.set_capacity(0, 0, 40)  # NVM way 0 cannot hold it
-    fill(llc, meta, 0)
-    cs = llc.set_of(0)
-    way = cs.find(0)
+    h = build("ca_rwr", size=44)  # ECB 46
+    h.llc.faultmap.set_capacity(0, 0, 40)  # NVM way 0 cannot hold it
+    read(h, A, B, C)
+    cs = h.llc.set_of(A)
+    way = cs.find(A)
     assert cs.part_of(way) == NVM
     assert cs.nvm_way(way) == 1  # skipped the 40-byte frame
 
 
 def test_update_in_place_charges_resident_ecb():
-    llc, meta = make_llc(size=30)  # ecb 32
-    fill(llc, meta, 0, dirty=False)
-    nvm_bytes = llc.stats.nvm_bytes_written
-    fill(llc, meta, 0, dirty=True)  # in-place dirty update
-    assert llc.stats.nvm_bytes_written == nvm_bytes + 32
+    h = stage_site1_dirty_refill("ca_rwr", size=30)
+    cs = h.llc.set_of(A)
+    way = cs.find(A)
+    resident_ecb = cs.ecb[way]
+    assert resident_ecb == 32
+    nvm_bytes = h.llc.stats.nvm_bytes_written
+    frame = h.llc.wear.bytes_written[cs.index, cs.nvm_way(way)]
+    read(h, D)                  # dirty A returns to its resident copy
+    assert cs.find(A) == way
+    assert h.llc.stats.nvm_bytes_written == nvm_bytes + resident_ecb
+    assert h.llc.wear.bytes_written[cs.index, cs.nvm_way(way)] == (
+        frame + resident_ecb
+    )
 
 
 def test_getx_miss_counts():
-    llc, meta = make_llc()
-    result = llc.request(5, is_getx=True, meta_table=meta)
-    assert not result.hit
-    assert llc.stats.getx == 1 and llc.stats.getx_hits == 0
+    h = build("ca_rwr")
+    assert h.access(0, A, True).level == Level.MEMORY
+    assert h.llc.stats.getx == 1 and h.llc.stats.getx_hits == 0
+    assert h.llc.stats.gets == 0
 
 
 def test_eviction_of_clean_block_is_silent_to_memory():
-    llc, meta = make_llc(policy_name="bh", sram=1, nvm=1)
-    fill(llc, meta, 0, dirty=False)
-    fill(llc, meta, 2, dirty=False)
-    fill(llc, meta, 4, dirty=False)  # evicts the LRU clean block
-    assert llc.stats.evictions >= 1
-    assert llc.stats.writebacks_to_memory == 0
+    h = build("bh", sram=1, nvm=1)
+    read(h, A, B, C, D, E)      # the third spill evicts clean LRU A
+    assert h.llc.stats.evictions >= 1 and not h.llc.contains(A)
+    assert h.llc.stats.writebacks_to_memory == 0

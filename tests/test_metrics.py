@@ -264,37 +264,3 @@ def test_check_artifacts_flags_bench_record_without_memo_or_explore(tmp_path):
         f"{engine}: bench record has no explore document",
         f"{memo}: bench record has no explore document",
     ]
-
-
-# ----------------------------------------------------------------------
-# Claims consume detached records.
-def test_measurements_from_records_matches_study_shape():
-    from repro.analysis.claims import measurements_from_records
-
-    def forecast(policy, ipc, life):
-        return RunRecord(
-            kind="forecast",
-            meta={"unit": {"kind": "forecast", "policy": policy}},
-            metrics={
-                "forecast.initial_ipc": ipc,
-                "forecast.lifetime_seconds": life,
-            },
-        )
-
-    def bound(ways, ipc):
-        return RunRecord(
-            kind="bound",
-            meta={"unit": {"kind": "bound", "ways": ways}},
-            metrics={"forecast.bound_ipc": ipc},
-        )
-
-    records = [
-        bound(16, 2.0), bound(16, 2.2), bound(4, 1.0),
-        forecast("bh", 1.9, 100.0), forecast("bh", 2.1, 200.0),
-        forecast("cp_sd", 1.8, 1000.0),
-    ]
-    measurements = measurements_from_records(records)
-    assert measurements["ipc_upper"] == pytest.approx(2.1)
-    assert measurements["ipc_bh"] == pytest.approx(2.0)
-    assert measurements["life_bh"] == pytest.approx(150.0)
-    assert measurements["life_cp_sd"] == pytest.approx(1000.0)

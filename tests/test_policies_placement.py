@@ -2,6 +2,8 @@
 
 import pytest
 
+from _hierarchy import build
+
 from repro.cache.block import ReuseClass
 from repro.cache.cacheset import NVM, SRAM, CacheSet
 from repro.cache.llc import EvictedBlock
@@ -41,6 +43,19 @@ def bound(name, **kw):
 
 def cache_set():
     return CacheSet(0, 4, 12)
+
+
+def live_set(name, **kw):
+    """A policy bound to a real one-set LLC (4 SRAM + 12 NVM ways)."""
+    llc = build(name, sram=4, nvm=12, **kw).llc
+    return llc.policy, llc.sets[0]
+
+
+def insert_sram(policy, cs, addr, reuse=ReuseClass.NONE):
+    """Fill ``addr`` into the set's first free SRAM way via the LLC."""
+    llc = policy.llc
+    ctx = FillContext(addr, False, 64, 64, reuse, cs.index)
+    assert llc._insert(cs, ctx, migrating=False, parts=(SRAM,))
 
 
 # ----------------------------------------------------------------------
@@ -131,16 +146,15 @@ def test_lhybrid_inserts_only_loop_blocks_to_nvm():
 
 
 def test_lhybrid_sram_victim_prefers_mru_loop_block():
-    policy = bound("lhybrid")
-    cs = cache_set()
-    cs.insert(0, 10, False, 64, 64, ReuseClass.READ)
-    cs.insert(1, 11, False, 64, 64, ReuseClass.NONE)
-    cs.insert(2, 12, False, 64, 64, ReuseClass.READ)
+    policy, cs = live_set("lhybrid")
+    insert_sram(policy, cs, 10, ReuseClass.READ)
+    insert_sram(policy, cs, 11, ReuseClass.NONE)
+    insert_sram(policy, cs, 12, ReuseClass.READ)
     assert policy.choose_victim(cs, SRAM, ctx()) == 2  # MRU LB
     # no loop blocks: plain LRU
-    cs2 = cache_set()
-    cs2.insert(0, 10, False, 64, 64, ReuseClass.NONE)
-    cs2.insert(1, 11, False, 64, 64, ReuseClass.WRITE)
+    policy, cs2 = live_set("lhybrid")
+    insert_sram(policy, cs2, 10, ReuseClass.NONE)
+    insert_sram(policy, cs2, 11, ReuseClass.WRITE)
     assert policy.choose_victim(cs2, SRAM, ctx()) == 0
 
 
@@ -153,11 +167,10 @@ def test_lhybrid_migrates_loop_blocks():
 
 # ----------------------------------------------------------------------
 def test_tap_requires_clean_and_thrashing():
-    policy = bound("tap", hit_threshold=1)
-    cs = cache_set()
+    policy, cs = live_set("tap", hit_threshold=1)
     addr = 42
     assert policy.placement(cs, ctx(addr=addr)) == (SRAM,)
-    cs.insert(0, addr, False, 64, 64, ReuseClass.NONE)
+    insert_sram(policy, cs, addr)
     policy.on_hit(cs, 0, False)
     assert policy.placement(cs, ctx(addr=addr)) == (SRAM,)  # 1 hit: not yet
     policy.on_hit(cs, 0, False)
@@ -168,9 +181,8 @@ def test_tap_requires_clean_and_thrashing():
 
 
 def test_tap_counters_decay_periodically():
-    policy = bound("tap", hit_threshold=1, decay_epochs=1)
-    cs = cache_set()
-    cs.insert(0, 42, False, 64, 64, ReuseClass.NONE)
+    policy, cs = live_set("tap", hit_threshold=1, decay_epochs=1)
+    insert_sram(policy, cs, 42)
     for _ in range(2):
         policy.on_hit(cs, 0, False)
     assert policy.is_thrashing(42)
@@ -181,9 +193,8 @@ def test_tap_counters_decay_periodically():
 
 
 def test_tap_decay_period_respected():
-    policy = bound("tap", hit_threshold=1, decay_epochs=3)
-    cs = cache_set()
-    cs.insert(0, 42, False, 64, 64, ReuseClass.NONE)
+    policy, cs = live_set("tap", hit_threshold=1, decay_epochs=3)
+    insert_sram(policy, cs, 42)
     for _ in range(2):
         policy.on_hit(cs, 0, False)
     policy.end_epoch()

@@ -1,107 +1,125 @@
-"""Tests for the private L1/L2 caches."""
+"""Tests for the private L1/L2 caches, driven through the hierarchy.
 
-import pytest
+Lookups, fills and evictions of the private levels live in
+:meth:`MemoryHierarchy.access_level` and its fills; these tests check
+their outcomes on the scripted hierarchy of ``tests/_hierarchy.py``.
+"""
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.private_cache import PrivateCache
-from repro.config import CacheGeometry
+from _hierarchy import A, B, C, D, build, read
 
-
-def small_cache(ways=2, sets=4):
-    return PrivateCache(CacheGeometry(sets * ways * 64, ways))
+from repro.cache.hierarchy import Level
 
 
 def test_miss_then_hit():
-    cache = small_cache()
-    assert cache.lookup(100) == PrivateCache.MISS
-    cache.fill(100, dirty=False)
-    assert cache.lookup(100) == PrivateCache.HIT
-    assert cache.hits == 1 and cache.misses == 1
+    h = build("bh")
+    stats = h.stats.core(0)
+    assert h.access(0, A, False).level == Level.MEMORY
+    assert h.access(0, A, False).level == Level.L1
+    assert stats.l1_hits == 1 and stats.memory_accesses == 1
+    read(h, B)                  # one-way L1: B displaces A, L2 keeps it
+    assert h.access(0, A, False).level == Level.L2
+    assert stats.l2_hits == 1 and stats.memory_accesses == 2
+    assert stats.accesses == 4
 
 
 def test_store_to_clean_line_signals_upgrade():
-    cache = small_cache()
-    cache.fill(5, dirty=False)
-    assert cache.lookup(5, is_write=True) == PrivateCache.HIT_UPGRADE
-    # second store: the line is already dirty, no upgrade needed
-    assert cache.lookup(5, is_write=True) == PrivateCache.HIT
-    assert cache.is_dirty(5)
+    h = build("bh")
+    read(h, A)
+    h.access(0, A, True)        # store hits the clean L1 line: upgrade
+    assert h.llc.stats.upgrades == 1
+    h.access(0, A, True)        # the line is already dirty: no upgrade
+    assert h.llc.stats.upgrades == 1
+    assert h.l1[0].is_dirty(A)
+    read(h, C, D)               # C stays clean in L2, L1 keeps only D
+    h.access(0, C, True)        # store hits the clean L2 line: upgrade
+    assert h.llc.stats.upgrades == 2
+    assert h.l1[0].is_dirty(C)
 
 
 def test_lru_eviction_order():
-    cache = small_cache(ways=2, sets=1)
-    cache.fill(0, False)
-    cache.fill(1, False)
-    cache.lookup(0)  # 0 becomes MRU
-    victim = cache.fill(2, False)
-    assert victim == (1, False)
+    h = build("bh", l1_ways=2, l2_ways=4)
+    read(h, A, B, A)            # A becomes the L1's MRU
+    read(h, C)                  # so C evicts B
+    assert h.l1[0].contains(A) and h.l1[0].contains(C)
+    assert not h.l1[0].contains(B)
 
 
 def test_eviction_carries_dirtiness():
-    cache = small_cache(ways=1, sets=1)
-    cache.fill(0, dirty=True)
-    victim = cache.fill(1, dirty=False)
-    assert victim == (0, True)
+    h = build("bh")
+    h.access(0, A, True)        # dirty in L1, clean in L2
+    assert not h.l2[0].is_dirty(A)
+    read(h, B)                  # L1 evicts A: its dirt moves to the L2 copy
+    assert not h.l1[0].contains(A) and h.l2[0].is_dirty(A)
+    read(h, C)                  # L2 evicts A: the LLC receives it dirty
+    cs = h.llc.set_of(A)
+    assert cs.dirty[cs.find(A)]
 
 
 def test_fill_refreshes_existing_entry():
-    cache = small_cache(ways=2, sets=1)
-    cache.fill(0, False)
-    cache.fill(1, False)
-    assert cache.fill(0, dirty=True) is None  # refresh, no eviction
-    assert cache.is_dirty(0)
-    victim = cache.fill(2, False)
-    assert victim[0] == 1  # 0 was refreshed to MRU
+    h = build("bh")
+    read(h, A, B)               # L2 holds A (LRU) and B
+    read(h, A)                  # L2 hit: A becomes the L2's MRU
+    read(h, C)                  # so C's L2 miss evicts B, not A
+    assert h.l2[0].contains(A) and not h.l2[0].contains(B)
+    assert h.llc.contains(B) and not h.llc.contains(A)
 
 
 def test_set_isolation():
-    cache = small_cache(ways=1, sets=4)
-    for addr in range(4):
-        assert cache.fill(addr, False) is None  # different sets
-    assert cache.occupancy() == 4
+    h = build("bh", l1_sets=4, l2_sets=4, l2_ways=1)
+    read(h, 0, 1, 2, 3)         # one block per set: nothing is evicted
+    assert h.l1[0].occupancy() == 4 and h.l2[0].occupancy() == 4
+    assert h.llc.stats.fills == 0
 
 
 def test_invalidate():
-    cache = small_cache()
-    cache.fill(7, dirty=True)
-    assert cache.invalidate(7) == (True, True)
-    assert cache.invalidate(7) == (False, False)
-    assert not cache.contains(7)
-
-
-def test_set_dirty_noop_when_absent():
-    cache = small_cache()
-    cache.set_dirty(123)  # must not raise
-    assert not cache.is_dirty(123)
+    h = build("bh")
+    h.access(0, A, True)        # core 0 owns A, dirty
+    assert h.access(1, A, True).level == Level.PEER
+    # the GetX revoked both of core 0's copies and forwarded the dirt
+    assert not h.l1[0].contains(A) and not h.l2[0].contains(A)
+    assert h.stats.coherence_invalidations == 1
+    assert h.l1[1].is_dirty(A) and h.l2[1].is_dirty(A)
+    assert h.sharer_masks(A) == (0b10, 0b10)
+    assert h.l1[0].invalidate(A) == (False, False)
 
 
 def test_resident_blocks():
-    cache = small_cache()
-    cache.fill(1, False)
-    cache.fill(2, False)
-    assert sorted(cache.resident_blocks()) == [1, 2]
+    h = build("bh")
+    read(h, 1, 2)
+    assert sorted(h.l2[0].resident_blocks()) == [1, 2]
+    assert h.l1[0].resident_blocks() == [2]
 
 
-@given(st.lists(st.tuples(st.integers(0, 63), st.booleans()), max_size=300))
+ACCESSES = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 63), st.booleans()),
+    max_size=300,
+)
+
+
+@given(ACCESSES)
 @settings(max_examples=60, deadline=None)
 def test_occupancy_never_exceeds_geometry(ops):
     """Property: per-set occupancy is bounded by associativity."""
-    cache = small_cache(ways=2, sets=4)
-    for addr, is_write in ops:
-        if not cache.lookup(addr, is_write):
-            cache.fill(addr, is_write)
-    assert cache.occupancy() <= 8
-    for entries in cache._sets:
-        assert len(entries) <= 2
+    h = build("bh", l1_ways=2, l1_sets=2, l2_ways=2, l2_sets=4)
+    for core, addr, is_write in ops:
+        h.access(core, addr, is_write)
+        for cache in (h.l1[core], h.l2[core]):
+            assert cache.occupancy() <= cache.ways * cache.n_sets
+            assert all(len(entries) <= cache.ways for entries in cache._sets)
 
 
-@given(st.lists(st.integers(0, 31), min_size=1, max_size=200))
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 31)),
+                min_size=1, max_size=200))
 @settings(max_examples=60, deadline=None)
-def test_most_recent_block_always_resident(addrs):
-    """Property: the block just accessed is always resident."""
-    cache = small_cache(ways=2, sets=2)
-    for addr in addrs:
-        if not cache.lookup(addr):
-            cache.fill(addr, False)
-        assert cache.contains(addr)
+def test_most_recent_block_always_resident(ops):
+    """Property: the block just accessed is resident in the accessing
+    core's L1, and in its L2 unless L1 serviced it (L2 does not
+    include L1)."""
+    h = build("bh", l1_ways=2, l1_sets=2, l2_ways=2, l2_sets=2)
+    for core, addr in ops:
+        level = h.access(core, addr, False).level
+        assert h.l1[core].contains(addr)
+        assert level == Level.L1 or h.l2[core].contains(addr)

@@ -6,36 +6,11 @@ Sec. III/IV machinery must produce — these are the executable version
 of the paper's prose examples.
 """
 
-import pytest
+from _hierarchy import build, part_of
 
 from repro.cache.block import ReuseClass
 from repro.cache.cacheset import NVM, SRAM
-from repro.cache.hierarchy import Level, MemoryHierarchy
-from repro.config import CacheGeometry, CoreConfig, HybridGeometry, SystemConfig
-from repro.core import make_policy
-
-
-def build(policy_name, size=30, l1_ways=1, l1_sets=1, l2_ways=2, l2_sets=1,
-          llc_sets=1, sram=2, nvm=4, **policy_kw):
-    """A deliberately tiny hierarchy so evictions are scriptable."""
-    config = SystemConfig(
-        cores=CoreConfig(n_cores=2),
-        l1=CacheGeometry(l1_sets * l1_ways * 64, l1_ways),
-        l2=CacheGeometry(l2_sets * l2_ways * 64, l2_ways),
-        llc=HybridGeometry(n_sets=llc_sets, sram_ways=sram, nvm_ways=nvm,
-                           n_banks=1),
-    )
-    from repro.compression.encodings import ecb_size
-
-    policy = make_policy(policy_name, **policy_kw)
-    size_fn = (lambda addr: (size, ecb_size(size))) if policy.compressed else None
-    return MemoryHierarchy(config, policy, size_fn=size_fn)
-
-
-def part_of(h, addr):
-    cs = h.llc.set_of(addr)
-    way = cs.find(addr)
-    return None if way is None else cs.part_of(way)
+from repro.cache.hierarchy import Level
 
 
 # ----------------------------------------------------------------------
@@ -110,6 +85,31 @@ def test_read_reused_sram_victim_migrates_to_nvm():
     # A must have been migrated into the NVM part, not dropped
     assert part_of(h, 0xA) == NVM
     assert h.llc.stats.migrations_to_nvm >= 1
+
+
+def test_read_reuse_of_a_resident_sram_block_never_fills_nvm():
+    """Table II sends read-reused blocks to NVM, but only a block that
+    enters the LLC can be placed.  A GetS hit keeps the LLC copy, and
+    the block's next clean L2 exit finds that copy and is dropped, so
+    the read->NVM rule never acts on it; only a later migration can
+    move it (see test_read_reused_sram_victim_migrates_to_nvm)."""
+    h = build("ca_rwr", size=50, cpth=37, sram=8, nvm=4)
+    h.access(0, 0xA, False)
+    h.access(0, 0xB, False)
+    h.access(0, 0xC, False)            # no reuse and 50 > 37: SRAM
+    assert part_of(h, 0xA) == SRAM
+    h.access(0, 0xA, False)            # GetS hit: read-reused, stays
+    assert h.meta.get(0xA).reuse is ReuseClass.READ
+    assert part_of(h, 0xA) == SRAM
+    h.access(0, 0xD, False)
+    stats = h.llc.stats
+    drops, fills_nvm = stats.silent_drops, stats.fills_nvm
+    h.access(0, 0xE, False)            # A's next L2 exit
+    assert not h.l2[0].contains(0xA)
+    assert stats.silent_drops == drops + 1
+    assert stats.fills_nvm == fills_nvm == 0
+    assert stats.migrations_to_nvm == 0
+    assert part_of(h, 0xA) == SRAM
 
 
 # ----------------------------------------------------------------------

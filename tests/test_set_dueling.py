@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _hierarchy import build
+
 from repro.config import SetDuelingConfig
 from repro.core.set_dueling import (
     DuelingController,
@@ -16,6 +18,12 @@ CANDIDATES = (30, 37, 44, 51, 58, 64)
 
 def controller(n_sets=64, rule=None, **kw):
     return DuelingController(SetDuelingConfig(**kw), n_sets, rule=rule)
+
+
+def bound_cp_sd(n_sets=64):
+    """A CP_SD policy bound to a real LLC; its hooks feed the controller."""
+    llc = build("cp_sd", llc_sets=n_sets).llc
+    return llc.policy, llc
 
 
 # ----------------------------------------------------------------------
@@ -57,10 +65,14 @@ def test_followers_start_permissive():
 
 
 def test_max_hits_election_and_reset():
-    ctrl = controller()
-    ctrl.record_hit(2)   # candidate 44
-    ctrl.record_hit(2)
-    ctrl.record_hit(1)   # candidate 37
+    policy, llc = bound_cp_sd()
+    ctrl = policy.controller
+    policy.on_hit(llc.sets[2], 0, False)   # candidate 44
+    policy.on_hit(llc.sets[2], 0, True)
+    policy.on_hit(llc.sets[1], 0, False)   # candidate 37
+    policy.on_nvm_write(1, 32)
+    assert ctrl.hits == [0, 1, 2, 0, 0, 0]
+    assert ctrl.writes == [0, 32, 0, 0, 0, 0]
     winner = ctrl.end_epoch()
     assert winner == 44
     assert ctrl.current_winner == 44
@@ -70,9 +82,10 @@ def test_max_hits_election_and_reset():
 
 
 def test_followers_do_not_record():
-    ctrl = controller()
-    ctrl.record_hit(6)            # follower set
-    ctrl.record_nvm_write(7, 64)  # follower set
+    policy, llc = bound_cp_sd()
+    ctrl = policy.controller
+    policy.on_hit(llc.sets[6], 0, False)  # follower set
+    policy.on_nvm_write(7, 64)            # follower set
     assert sum(ctrl.hits) == 0 and sum(ctrl.writes) == 0
 
 
