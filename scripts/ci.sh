@@ -44,7 +44,7 @@ trap 'rm -rf "$TMP_ROOT"' EXIT
 
 if [[ "$RUN_TESTS" == 1 ]]; then
   echo "== ci: tier-1 test suite + perfbench self-tests =="
-  python -m pytest -x -q tests perfbench
+  python -m pytest -x -q
 
   echo "== ci: run_one and forecast digests (one pass per perfbench workload) =="
   # run.py exits non-zero unless every unit's digest matches

@@ -19,7 +19,7 @@ __version__ = "1.0.0"
 
 from . import analysis, cache, compression, config, core, forecast, nvm, timing, workloads
 from .config import SystemConfig, paper_system
-from .engine import Simulation, SimulationResult, Workload, run_policy_on_mix
+from .engine import Simulation, SimulationResult, Workload
 
 __all__ = [
     "Simulation",
@@ -34,7 +34,6 @@ __all__ = [
     "forecast",
     "nvm",
     "paper_system",
-    "run_policy_on_mix",
     "timing",
     "workloads",
 ]

@@ -22,9 +22,10 @@ circular list through a sentinel slot at index ``total_ways``.
 ``rec_next[sentinel]`` is the LRU way, ``rec_prev[sentinel]`` the MRU
 way; an empty set links the sentinel to itself.  A way is linked iff
 its frame holds a block.  The hot paths (``llc.py`` / ``hierarchy.py``)
-do every link, unlink and MRU promotion directly on the two arrays;
-this class keeps the storage, :meth:`CacheSet.evict` for the cold
-paths and read-only views.
+do every link, replacement unlink and MRU promotion directly on the two
+arrays; this class keeps the storage, :meth:`CacheSet.evict` for the
+invalidations (GetX hit, upgrade, fault reconciliation) and read-only
+views.
 """
 
 from __future__ import annotations

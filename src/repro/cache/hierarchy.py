@@ -6,7 +6,10 @@ from the gem5 MOESI_CMP_directory protocol:
 * a miss in all levels fetches the block from memory straight into the
   private L1/L2 of the requester — the LLC is *not* filled;
 * the victim replaced in L2 (clean or dirty) is sent to the LLC and
-  written there if absent — this is the only LLC fill path;
+  written there if absent — this is the only LLC fill path, written
+  once in :meth:`MemoryHierarchy._fill_l2` and reached by two routes:
+  an L2-missing access's own refill and an L1 victim that L2 no
+  longer holds;
 * a GetX (write-permission) request that hits the LLC returns the
   block and invalidates the LLC copy immediately;
 * GetX also invalidates copies in other cores' private caches
@@ -126,31 +129,28 @@ class MemoryHierarchy:
         This is the engine's entry point: one call per demand access,
         with the L1/L2 hit paths written out on the private caches'
         per-set dicts (the dict-recency trick of :class:`PrivateCache`)
-        so the common case costs a handful of dict operations and no
-        nested method calls.
+        so the common case, an L1 hit, costs a handful of dict
+        operations and no nested method calls.  An L2-missing access
+        ends by refilling L2 and L1 through :meth:`_fill_l2` and
+        :meth:`_fill_l1`.
         """
         core_stats = self._core_stats[core]
         core_stats.accesses += 1
 
-        l1 = self.l1[core]
         entries = self._l1_sets[core][addr & self._l1_mask]
         if addr in entries:
             was_dirty = entries.pop(addr)
             entries[addr] = was_dirty or is_write
-            l1.hits += 1
             core_stats.l1_hits += 1
             if is_write and not was_dirty:
                 self._upgrade(core, addr)
             return _L1
-        l1.misses += 1
 
-        l2 = self.l2[core]
         l2_entries = self._l2_sets[core][addr & self._l2_mask]
         if addr in l2_entries:
             # Recency refresh; dirtiness is untouched by a read lookup.
             was_dirty = l2_entries.pop(addr)
             l2_entries[addr] = was_dirty
-            l2.hits += 1
             core_stats.l2_hits += 1
             if is_write and not was_dirty:
                 # store to a clean L2 line: acquire write permission
@@ -158,19 +158,24 @@ class MemoryHierarchy:
             self._fill_l1(core, addr, is_write)
             return _L2
 
-        l2.misses += 1
-
         # L2 miss: issue GetS/GetX to the shared LLC (directory home).
-        # The LLC lookup — classification, recency and invalidate-on-hit
-        # — is written out here on the LLC's set arrays, as is the
-        # zero-sharers fast path of the GetX snoop / GetS peer probe;
-        # this region runs once per private-level miss.
+        # The LLC lookup — classification and recency — is written out
+        # here on the LLC's set arrays, as is the zero-sharers fast path
+        # of the GetX snoop / GetS peer probe; this region runs once per
+        # private-level miss.  The rare GetX hit calls CacheSet.evict.
         llc = self.llc
         cache_set = llc.sets[addr & llc._set_mask]
         llc_stats = llc.stats
         way = cache_set.way_of.get(addr)
         if is_write:
             llc_stats.getx += 1
+            # GetX revokes peer copies; a dirty copy is forwarded.  The
+            # snoop touches only peers' private caches and the sharer
+            # index, which neither the LLC lookup nor on_hit reads.
+            others = (
+                self._sharer_l1.get(addr, 0) | self._sharer_l2.get(addr, 0)
+            ) & ~(1 << core)
+            peer_dirty = self._snoop_peers(core, addr) if others else None
         else:
             llc_stats.gets += 1
 
@@ -200,28 +205,8 @@ class MemoryHierarchy:
                 if on_hit is not None:
                     on_hit(cache_set, way, True)
                 # Invalidate-on-hit: the block (with its dirty data)
-                # moves into the requester's L2 (inlined CacheSet.evict).
-                cache_set.tags[way] = None
-                cache_set.dirty[way] = False
-                cache_set.csize[way] = 0
-                cache_set.ecb[way] = 0
-                cache_set.reuse[way] = _NONE
-                # Inlined recency unlink (CacheSet.evict's link surgery).
-                prv = cache_set.rec_prev
-                nxt = cache_set.rec_next
-                before, after = prv[way], nxt[way]
-                nxt[before] = after
-                prv[after] = before
-                del cache_set.way_of[addr]
-                if in_sram:
-                    cache_set.free_sram += 1
-                else:
-                    cache_set.free_nvm += 1
-                # GetX revokes peer copies; a dirty copy is forwarded.
-                others = (
-                    self._sharer_l1.get(addr, 0) | self._sharer_l2.get(addr, 0)
-                ) & ~(1 << core)
-                peer_dirty = self._snoop_peers(core, addr) if others else None
+                # moves into the requester's L2.
+                cache_set.evict(way)
                 l2_dirty = copy_dirty or bool(peer_dirty)
             else:
                 llc_stats.gets_hits += 1
@@ -250,10 +235,6 @@ class MemoryHierarchy:
             l2_dirty = False
             ret = _MEMORY
             if is_write:
-                others = (
-                    self._sharer_l1.get(addr, 0) | self._sharer_l2.get(addr, 0)
-                ) & ~(1 << core)
-                peer_dirty = self._snoop_peers(core, addr) if others else None
                 if peer_dirty is not None:
                     # GetX revoked the peer copy; its data (possibly
                     # dirty) is forwarded to the requester.
@@ -269,88 +250,10 @@ class MemoryHierarchy:
                 core_stats.memory_accesses += 1
                 self.stats.memory_reads += 1
 
-        # Refill both private levels — every L2-missing access ends
-        # here.  This repeats the bodies of _fill_l2 + _fill_l1 (the
-        # methods below serve the other paths).
-        # ---- L2 fill ----
-        entries = self._l2_sets[core][addr & self._l2_mask]
-        sharers = self._sharer_l2
-        bit = 1 << core
-        sharers[addr] = sharers.get(addr, 0) | bit
-        if addr in entries:
-            entries[addr] = entries.pop(addr) or l2_dirty
-        elif len(entries) >= self._l2_ways:
-            v_addr = next(iter(entries))
-            v_dirty = entries.pop(v_addr)
-            entries[addr] = l2_dirty
-            mask = sharers[v_addr] & ~bit
-            if mask:
-                sharers[v_addr] = mask
-            else:
-                del sharers[v_addr]
-            # Spill the L2 victim to the LLC: resident update / silent
-            # drop / fresh insert, as in _fill_l2.
-            cache_set = llc.sets[v_addr & llc._set_mask]
-            way = cache_set.way_of.get(v_addr)
-            if way is not None:
-                if v_dirty:
-                    cache_set.dirty[way] = True
-                    llc._charge_write(cache_set, way, cache_set.ecb[way])
-                    llc_stats.updates_in_place += 1
-                else:
-                    llc_stats.silent_drops += 1
-                # Promote the resident way to MRU.
-                nxt = cache_set.rec_next
-                sentinel = cache_set.total_ways
-                if nxt[way] != sentinel:
-                    prv = cache_set.rec_prev
-                    before, after = prv[way], nxt[way]
-                    nxt[before] = after
-                    prv[after] = before
-                    mru = prv[sentinel]
-                    nxt[mru] = way
-                    prv[way] = mru
-                    nxt[way] = sentinel
-                    prv[sentinel] = way
-            else:
-                meta = self.meta._table.get(v_addr)
-                reuse = meta.reuse if meta is not None else _NONE
-                if llc._compressed and llc._size_fn is not None:
-                    csize, ecb = llc._size_fn(v_addr)
-                else:
-                    csize = ecb = llc.block_size
-                llc_stats.fills += 1
-                llc._insert(
-                    cache_set,
-                    FillContext(v_addr, v_dirty, csize, ecb, reuse,
-                                cache_set.index),
-                    migrating=False,
-                )
-        else:
-            entries[addr] = l2_dirty
-        # ---- L1 fill ----
-        entries = self._l1_sets[core][addr & self._l1_mask]
-        sharers = self._sharer_l1
-        sharers[addr] = sharers.get(addr, 0) | bit
-        if addr in entries:
-            entries[addr] = entries.pop(addr) or is_write
-        elif len(entries) >= self._l1_ways:
-            v_addr = next(iter(entries))
-            v_dirty = entries.pop(v_addr)
-            entries[addr] = is_write
-            mask = sharers[v_addr] & ~bit
-            if mask:
-                sharers[v_addr] = mask
-            else:
-                del sharers[v_addr]
-            l2_entries = self._l2_sets[core][v_addr & self._l2_mask]
-            if v_addr in l2_entries:
-                if v_dirty:
-                    l2_entries[v_addr] = True
-            else:
-                self._fill_l2(core, v_addr, v_dirty)
-        else:
-            entries[addr] = is_write
+        # Refill both private levels; the L2 victim, if any, spills to
+        # the LLC through _fill_l2, as an L1 victim's write-back does.
+        self._fill_l2(core, addr, l2_dirty)
+        self._fill_l1(core, addr, is_write)
 
         if ret == _MEMORY:
             table = self.meta._table  # enters the hierarchy untagged (NLB)
@@ -360,14 +263,12 @@ class MemoryHierarchy:
 
     # ------------------------------------------------------------------
     def _fill_l1(self, core: int, addr: int, dirty: bool) -> None:
-        # Dict-recency LRU fill of this core's L1 + sharer upkeep.
+        # Dict-recency LRU fill of this core's L1 + sharer upkeep.  Every
+        # caller has just missed this L1, so ``addr`` is absent.
         entries = self._l1_sets[core][addr & self._l1_mask]
         sharers = self._sharer_l1
         bit = 1 << core
         sharers[addr] = sharers.get(addr, 0) | bit
-        if addr in entries:
-            entries[addr] = entries.pop(addr) or dirty
-            return
         if len(entries) >= self._l1_ways:
             v_addr = next(iter(entries))
             v_dirty = entries.pop(v_addr)
@@ -379,8 +280,10 @@ class MemoryHierarchy:
                 sharers[v_addr] = mask
             else:
                 del sharers[v_addr]
-            # Write back into L2; if L2 no longer holds it (inclusion is
-            # not enforced), the refill may spill an L2 victim to the LLC.
+            # Write back into L2: a line L2 still holds only takes the
+            # victim's dirt, and keeps its recency; if L2 no longer holds
+            # it (inclusion is not enforced), the refill may spill an L2
+            # victim to the LLC.
             l2_entries = self._l2_sets[core][v_addr & self._l2_mask]
             if v_addr in l2_entries:
                 if v_dirty:
@@ -391,13 +294,13 @@ class MemoryHierarchy:
         entries[addr] = dirty
 
     def _fill_l2(self, core: int, addr: int, dirty: bool) -> None:
+        # Every caller has just missed this L2 (an L2-missing access) or
+        # checked that the L1 victim is gone from it, so ``addr`` is
+        # absent.
         entries = self._l2_sets[core][addr & self._l2_mask]
         sharers = self._sharer_l2
         bit = 1 << core
         sharers[addr] = sharers.get(addr, 0) | bit
-        if addr in entries:
-            entries[addr] = entries.pop(addr) or dirty
-            return
         if len(entries) >= self._l2_ways:
             v_addr = next(iter(entries))
             v_dirty = entries.pop(v_addr)
@@ -531,9 +434,6 @@ class MemoryHierarchy:
         for core in range(n_cores):
             self.stats.core(core)
         self._core_stats = [self.stats.core(core) for core in range(n_cores)]
-        for cache in (*self.l1, *self.l2):
-            cache.hits = 0
-            cache.misses = 0
         self.llc.wear.reset()
 
     def end_epoch(self) -> None:

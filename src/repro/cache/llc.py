@@ -41,13 +41,12 @@ SizeFn = Callable[[int], Tuple[int, int]]
 
 
 class EvictedBlock(NamedTuple):
-    """A block removed from the LLC by replacement."""
+    """An SRAM block removed by replacement, offered to the policy's
+    ``handle_sram_eviction`` (which may migrate it to NVM)."""
 
     addr: int
     dirty: bool
-    csize: int
     reuse: ReuseClass
-    part: int
 
 
 class HybridLLC:
@@ -58,7 +57,6 @@ class HybridLLC:
         config: SystemConfig,
         policy: InsertionPolicy,
         size_fn: Optional[SizeFn] = None,
-        stats: Optional[LLCStats] = None,
     ) -> None:
         geom = config.llc
         self.config = config
@@ -74,7 +72,7 @@ class HybridLLC:
             geom.n_sets, geom.nvm_ways, geom.block_size, policy.granularity
         )
         self.wear = WearTracker(geom.n_sets, geom.nvm_ways)
-        self.stats = stats if stats is not None else LLCStats()
+        self.stats = LLCStats()
         self._size_fn = size_fn
         # ``policy.compressed`` is a plain class attribute fixed at
         # construction; sizes_of runs once per fill, so cache it.
@@ -235,10 +233,7 @@ class HybridLLC:
                 v_in_sram = way < sram_ways
                 handler = self._handle_sram_eviction
                 if v_in_sram and not migrating and handler is not None:
-                    victim = EvictedBlock(
-                        v_addr, v_dirty, cache_set.csize[way],
-                        cache_set.reuse[way], SRAM,
-                    )
+                    victim = EvictedBlock(v_addr, v_dirty, cache_set.reuse[way])
                 else:
                     victim = None
                 tags[way] = None

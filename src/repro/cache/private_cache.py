@@ -13,8 +13,8 @@ per-set dicts directly on its access fast path (a set-indexing helper
 alone cost ~3.1M calls per short simulation).  ``_sets`` and
 ``_set_mask`` are therefore a stable internal interface for the
 hierarchy, not an implementation accident; this class keeps the
-geometry, the hit/miss counters, invalidation (GetX snoops) and
-read-only views.
+geometry, invalidation (GetX snoops) and read-only views.  Hit and miss
+counts live in the hierarchy's per-core ``CoreStats``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from ..config import CacheGeometry
 class PrivateCache:
     """One private cache level, addressed by block address."""
 
-    __slots__ = ("geometry", "n_sets", "ways", "_set_mask", "_sets", "hits", "misses")
+    __slots__ = ("geometry", "n_sets", "ways", "_set_mask", "_sets")
 
     def __init__(self, geometry: CacheGeometry) -> None:
         self.geometry = geometry
@@ -35,8 +35,6 @@ class PrivateCache:
         self.ways = geometry.ways
         self._set_mask = self.n_sets - 1
         self._sets: List[Dict[int, bool]] = [dict() for _ in range(self.n_sets)]
-        self.hits = 0
-        self.misses = 0
 
     # ------------------------------------------------------------------
     def contains(self, addr: int) -> bool:

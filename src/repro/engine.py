@@ -446,14 +446,3 @@ class SimulationSnapshot:
     def __init__(self, state: tuple, shared: tuple) -> None:
         self._state = state
         self._shared = shared
-
-
-def run_policy_on_mix(
-    config: SystemConfig,
-    policy: InsertionPolicy,
-    workload: Workload,
-    cycles: float,
-    warmup_cycles: float = 0.0,
-) -> SimulationResult:
-    """Convenience one-shot simulation."""
-    return Simulation(config, policy, workload).run(cycles, warmup_cycles)

@@ -5,11 +5,11 @@ runs — :meth:`MemoryHierarchy.access` — on a hierarchy small enough
 that each eviction can be scripted by hand.  Block addresses are block
 numbers, so ``addr % n_sets`` picks the set at every level.
 
-An L2 victim reaches the LLC at one of two places.  ``access_level``
-spills the L2 victim of an L2-missing access itself ("site 1"), and
-``_fill_l2`` spills one when it refills an L1 victim that L2 no longer
-holds ("site 2").  The ``stage_*`` scripts leave a hierarchy one access
-away from a refill of a block the LLC still holds, at either site.
+An L2 victim reaches the LLC by two routes, and both run ``_fill_l2``'s
+one spill: the refill of an L2-missing access ("site 1" in the helper
+names) and the write-back of an L1 victim that L2 no longer holds
+("site 2").  The ``stage_*`` scripts leave a hierarchy one access away
+from a refill of a block the LLC still holds, by either route.
 """
 
 from repro.cache.hierarchy import MemoryHierarchy
@@ -59,14 +59,13 @@ def read(h, *addrs, core=0):
 
 
 def stage_site1_dirty_refill(policy_name, **build_kw):
-    """Next ``read(h, D)``: ``access_level`` spills a dirty A onto the
+    """Next ``read(h, D)``: D's own L2 refill spills a dirty A onto the
     clean copy the LLC holds.
 
     Four one-way L1 sets let L1 keep A's dirty data after L2 spilled
-    A's clean line.  E's access evicts A from L1 back into L2 through
-    ``_fill_l2``.  C and D go to L1 sets that were empty, so only
-    ``access_level`` spills on their L2 misses: C's spills E and leaves
-    A at L2's LRU, and D's spills A.
+    A's clean line.  E's access evicts A from L1 back into L2.  C and D
+    go to L1 sets that were empty, so only their own L2 refills spill:
+    C's spills E and leaves A at L2's LRU, and D's spills A.
     """
     h = build(policy_name, l1_sets=4, **build_kw)
     h.access(0, A, True)      # L1 holds the dirty data, L2 a clean line
@@ -79,15 +78,15 @@ def stage_site1_dirty_refill(policy_name, **build_kw):
 
 
 def stage_site2_refill(policy_name, dirty=False, **build_kw):
-    """Next ``read(h, E)``: ``_fill_l2`` evicts A, whose first copy the
-    LLC still holds.
+    """Next ``read(h, E)``: the write-back of E's L1 victim evicts A
+    from L2, whose first copy the LLC still holds.
 
     Two one-way L1 sets (even and odd blocks) let L1 keep A after L2
-    spilled it.  C's access evicts A from L1 into L2 through
-    ``_fill_l2``, which spills D (a fresh insert at site 2).  E's own
-    L2 miss then spills C, and E's L1 victim C, gone from L2, makes
-    ``_fill_l2`` evict A.  With ``dirty`` the first access to A is a
-    store, so A's second L2 exit carries the L1's dirty data.
+    spilled it.  C's access evicts A from L1 into L2, which spills D (a
+    fresh insert by the L1-victim route).  E's own L2 miss then spills
+    C, and E's L1 victim C, gone from L2, is refilled into L2 and
+    evicts A.  With ``dirty`` the first access to A is a store, so A's
+    second L2 exit carries the L1's dirty data.
     """
     h = build(policy_name, l1_sets=2, **build_kw)
     h.access(0, A, dirty)
@@ -95,7 +94,7 @@ def stage_site2_refill(policy_name, dirty=False, **build_kw):
     assert h.llc.contains(A) and h.l1[0].contains(A)
     assert not h.l2[0].contains(A)
     fills = h.llc.stats.fills
-    read(h, C)                # L1 evicts A into L2; _fill_l2 spills D
+    read(h, C)                # L1 evicts A into L2, which spills D
     assert h.l2[0].contains(A) and h.llc.contains(D)
-    assert h.llc.stats.fills == fills + 2      # B at site 1, D at site 2
+    assert h.llc.stats.fills == fills + 2      # B by C's refill, D by A's
     return h

@@ -8,7 +8,7 @@ import pytest
 from repro.bench.golden import simulation_digest
 from repro.config import SystemConfig
 from repro.core import make_policy
-from repro.engine import Simulation, Workload, run_policy_on_mix
+from repro.engine import Simulation, Workload
 from repro.experiments.common import SMOKE
 from repro.workloads.mixes import mix_profiles
 from repro.workloads.trace import MaterializedTrace
@@ -151,10 +151,3 @@ def test_replay_wraps_to_trace_start(policy_name):
         cycles, 0
     )
     assert simulation_digest(wrapped) == simulation_digest(unwrapped)
-
-
-def test_run_policy_on_mix_helper():
-    config = small_config()
-    wl = small_workload()
-    res = run_policy_on_mix(config, make_policy("bh"), wl, cycles=100_000)
-    assert res.stats.llc.accesses > 0

@@ -2,9 +2,10 @@
 
 Every test runs :meth:`MemoryHierarchy.access` on the scripted
 hierarchy of ``tests/_hierarchy.py``.  The three refill outcomes —
-fresh insert, silent drop, update in place — are checked at both
-places an L2 victim reaches the LLC: ``access_level``'s own spill
-(site 1) and ``_fill_l2``'s (site 2).
+fresh insert, silent drop, update in place — are checked on both
+routes by which an L2 victim reaches ``_fill_l2``'s one spill: an
+L2-missing access's own refill (site 1) and the write-back of an L1
+victim that L2 no longer holds (site 2).
 """
 
 from _hierarchy import (
@@ -42,13 +43,13 @@ def test_miss_then_fill_then_hit():
     # a demand miss bypasses the LLC: GetS counted, nothing filled
     assert h.llc.stats.gets == 1 and h.llc.stats.fills == 0
     assert not h.llc.contains(A)
-    read(h, B, C)               # site 1: C's L2 miss spills A, a fresh insert
+    read(h, B, C)               # C's L2 refill spills A, a fresh insert
     assert h.llc.contains(A) and h.llc.stats.fills == 1
     outcome = h.access(0, A, False)
     assert outcome.llc_hit and h.llc.stats.gets_hits == 1
     assert h.llc.contains(A)    # GetS leaves the copy
 
-    # site 2: _fill_l2's spill of D is a fresh insert too
+    # L1-victim route: the spill of D is a fresh insert too
     h = stage_site2_refill("bh_cp")
     assert h.llc.contains(D) and h.llc.stats.fills == 3
 
@@ -81,7 +82,7 @@ def test_upgrade_invalidates_copy():
 
 
 def test_clean_refill_is_silent_drop():
-    # site 1: E's L2 miss evicts A, which a GetS hit brought back clean
+    # L2-miss route: E's refill evicts A, which a GetS hit brought back clean
     h = build("ca_rwr", size=30)
     read(h, A, B, C)            # C's L2 miss spills A into NVM
     read(h, A, D)               # GetS hit keeps the LLC copy
@@ -93,7 +94,8 @@ def test_clean_refill_is_silent_drop():
     assert frame_bytes(h, A) == ECB_30
     assert_writes_are_fills(h)
 
-    # site 2: _fill_l2 evicts clean A while the LLC still holds it
+    # L1-victim route: E's L1 victim's refill evicts clean A while the
+    # LLC still holds it
     h = stage_site2_refill("ca_rwr", size=30)
     read(h, E)
     assert not h.l2[0].contains(A)

@@ -125,14 +125,14 @@ def test_ca_rwr_table2():
 def test_ca_rwr_migrates_read_reused_sram_victims():
     policy = bound("ca_rwr", cpth=37)
     cs = cache_set()
-    victim = EvictedBlock(7, False, 30, ReuseClass.READ, SRAM)
+    victim = EvictedBlock(7, False, ReuseClass.READ)
     assert policy.handle_sram_eviction(cs, victim)
     assert policy.llc.migrated == [7]
     assert not policy.handle_sram_eviction(
-        cs, EvictedBlock(8, True, 30, ReuseClass.WRITE, SRAM)
+        cs, EvictedBlock(8, True, ReuseClass.WRITE)
     )
     assert not policy.handle_sram_eviction(
-        cs, EvictedBlock(9, False, 30, ReuseClass.NONE, SRAM)
+        cs, EvictedBlock(9, False, ReuseClass.NONE)
     )
 
 
@@ -160,7 +160,7 @@ def test_lhybrid_sram_victim_prefers_mru_loop_block():
 
 def test_lhybrid_migrates_loop_blocks():
     policy = bound("lhybrid")
-    victim = EvictedBlock(5, False, 64, ReuseClass.READ, SRAM)
+    victim = EvictedBlock(5, False, ReuseClass.READ)
     assert policy.handle_sram_eviction(cache_set(), victim)
     assert policy.llc.migrated == [5]
 

@@ -8,7 +8,7 @@ their outcomes on the scripted hierarchy of ``tests/_hierarchy.py``.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _hierarchy import A, B, C, D, build, read
+from _hierarchy import A, B, C, D, E, build, read
 
 from repro.cache.hierarchy import Level
 
@@ -54,6 +54,25 @@ def test_eviction_carries_dirtiness():
     read(h, B)                  # L1 evicts A: its dirt moves to the L2 copy
     assert not h.l1[0].contains(A) and h.l2[0].is_dirty(A)
     read(h, C)                  # L2 evicts A: the LLC receives it dirty
+    cs = h.llc.set_of(A)
+    assert cs.dirty[cs.find(A)]
+
+
+def test_l1_write_back_leaves_l2_recency_alone():
+    """An L1 victim that its L2 still holds only passes its dirt on: a
+    dirty one sets the L2 line's dirty bit, a clean one changes nothing,
+    and neither moves the line in L2's LRU order."""
+    h = build("bh_cp", l1_ways=1, l1_sets=1, l2_ways=4, l2_sets=1)
+    h.access(0, A, True)
+    read(h, B)                  # L1 evicts dirty A into its L2 line
+    assert h.l2[0].resident_blocks() == [A, B]     # a refresh gives [B, A]
+    assert h.l2[0].is_dirty(A)
+    read(h, C, D)               # L1 evicts clean B, then C
+    assert h.l2[0].resident_blocks() == [A, B, C, D]
+    assert not h.l2[0].is_dirty(B)
+    fills = h.llc.stats.fills
+    read(h, E)                  # E's L2 refill spills the LRU line, A
+    assert h.llc.stats.fills == fills + 1
     cs = h.llc.set_of(A)
     assert cs.dirty[cs.find(A)]
 
