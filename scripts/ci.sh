@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: the test suite and digest-checked perfbench passes,
-# the artefact, durability, analytical, explorer and workload gates, and
-# a same-host speed gate.
+# the smoke paper artefacts, the artefact, durability, analytical,
+# explorer and workload gates, and a same-host speed gate.
 #
 # Usage: scripts/ci.sh
-#   [--skip-tests|--skip-bench|--skip-schema|--skip-durability|
-#    --skip-analytical|--skip-workloads]
+#   [--skip-tests|--skip-figures|--skip-bench|--skip-schema|
+#    --skip-durability|--skip-analytical|--skip-workloads]
+#
+# The figures leg reruns every benchmark under benchmarks/ at smoke
+# scale (about 7 minutes on a 2-vCPU host) and fails unless each
+# artefact equals its committed benchmarks/results/smoke/ file.
 #
 # The bench leg times perfbench's `matrix` workload on the working tree
 # and on a reference commit, in five alternating pairs on this host.
@@ -19,6 +23,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RUN_TESTS=1
+RUN_FIGURES=1
 RUN_BENCH=1
 RUN_SCHEMA=1
 RUN_DURABILITY=1
@@ -27,6 +32,7 @@ RUN_WORKLOADS=1
 for arg in "$@"; do
   case "$arg" in
     --skip-tests) RUN_TESTS=0 ;;
+    --skip-figures) RUN_FIGURES=0 ;;
     --skip-bench) RUN_BENCH=0 ;;
     --skip-schema) RUN_SCHEMA=0 ;;
     --skip-durability) RUN_DURABILITY=0 ;;
@@ -63,6 +69,24 @@ if [[ "$RUN_TESTS" == 1 ]]; then
     python3 "$TMP_ROOT/perfbench/perfbench/run.py" \
       --workload "$workload" --seed 0 --seconds 1
   done
+fi
+
+if [[ "$RUN_FIGURES" == 1 ]]; then
+  echo "== ci: smoke paper artefacts regenerate byte for byte =="
+  # The golden digests pin three policies on a short window and
+  # perfbench pins single run_one/forecast_policy cells; neither covers
+  # how a figure normalises its cells to BH and averages them over
+  # mixes.  Every table and figure is rebuilt here from a copy of src/
+  # and benchmarks/, so the artefacts land under $TMP_ROOT, and any
+  # byte that differs from the committed smoke artefacts fails the leg.
+  mkdir -p "$TMP_ROOT/figures"
+  cp -r src benchmarks "$TMP_ROOT/figures/"
+  # Start without the smoke artefacts, so one that is no longer written
+  # fails the diff too.
+  rm -rf "$TMP_ROOT/figures/benchmarks/results/smoke"
+  (cd "$TMP_ROOT/figures" && REPRO_SCALE=smoke PYTHONPATH="$TMP_ROOT/figures/src" \
+    python -m pytest -q -p no:cacheprovider benchmarks/ --benchmark-only)
+  diff -r benchmarks/results/smoke "$TMP_ROOT/figures/benchmarks/results/smoke"
 fi
 
 if [[ "$RUN_SCHEMA" == 1 ]]; then

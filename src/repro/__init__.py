@@ -3,7 +3,8 @@ Insertion Policies for Long-Lasting Hybrid LLCs" (HPCA 2023).
 
 Public entry points:
 
-* :func:`repro.config.paper_system` — the Table IV system configuration;
+* :meth:`repro.experiments.ExperimentScale.system` — the (scaled)
+  Table IV system configuration with its sensitivity knobs;
 * :class:`repro.engine.Workload` / :class:`repro.engine.Simulation` —
   trace-driven simulation of one mix under one insertion policy;
 * :func:`repro.core.make_policy` — instantiate any Table III policy
@@ -18,7 +19,7 @@ Public entry points:
 __version__ = "1.0.0"
 
 from . import analysis, cache, compression, config, core, forecast, nvm, timing, workloads
-from .config import SystemConfig, paper_system
+from .config import SystemConfig
 from .engine import Simulation, SimulationResult, Workload
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "core",
     "forecast",
     "nvm",
-    "paper_system",
     "timing",
     "workloads",
 ]

@@ -9,9 +9,6 @@ from .claims import (
 from .curves import (
     Curve,
     ascii_chart,
-    average_curves,
-    lifetime_table,
-    normalise,
     resample_capacity,
     resample_ipc,
     time_grid,
@@ -22,11 +19,8 @@ __all__ = [
     "Curve",
     "LIFETIME_CLAIMS",
     "ascii_chart",
-    "average_curves",
     "check_claims",
-    "lifetime_table",
     "measurements_from_study",
-    "normalise",
     "resample_capacity",
     "resample_ipc",
     "time_grid",

@@ -1,4 +1,4 @@
-"""Forecast-curve utilities: resampling, averaging, ASCII rendering.
+"""Forecast-curve utilities: resampling and ASCII rendering.
 
 The paper's headline figures (Figs. 1, 10, 11) plot normalised IPC
 against time for several policies.  Forecast runs sample IPC at
@@ -12,7 +12,7 @@ and the EXPERIMENTS.md artefacts without any plotting dependency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..forecast.forecaster import SECONDS_PER_MONTH, ForecastResult
 
@@ -60,26 +60,6 @@ def resample_capacity(result: ForecastResult, grid: Sequence[float]) -> Curve:
     return Curve(result.policy, list(grid), values)
 
 
-def average_curves(label: str, curves: Sequence[Curve]) -> Curve:
-    """Pointwise arithmetic mean of same-grid curves (cross-mix mean)."""
-    if not curves:
-        raise ValueError("need at least one curve")
-    grid = curves[0].times
-    for curve in curves:
-        if list(curve.times) != list(grid):
-            raise ValueError("curves must share a grid")
-    n = len(curves)
-    values = [sum(c.values[i] for c in curves) / n for i in range(len(grid))]
-    return Curve(label, list(grid), values)
-
-
-def normalise(curve: Curve, reference: float) -> Curve:
-    """Divide a curve by a scalar (e.g. the upper-bound IPC)."""
-    if reference <= 0:
-        raise ValueError("reference must be positive")
-    return Curve(curve.label, curve.times, [v / reference for v in curve.values])
-
-
 # ----------------------------------------------------------------------
 # ASCII rendering
 # ----------------------------------------------------------------------
@@ -122,25 +102,3 @@ def ascii_chart(
     )
     lines.append(" " * 10 + legend)
     return "\n".join(lines)
-
-
-def lifetime_table(
-    results: Mapping[str, ForecastResult], capacity: float = 0.5
-) -> List[Dict[str, object]]:
-    """Per-policy lifetime/IPC rows, normalised to the first entry."""
-    rows: List[Dict[str, object]] = []
-    base_seconds: Optional[float] = None
-    for label, result in results.items():
-        seconds = result.lifetime_or_horizon_seconds(capacity)
-        if base_seconds is None:
-            base_seconds = seconds
-        rows.append(
-            {
-                "policy": label,
-                "initial_ipc": result.initial_ipc,
-                "lifetime_months": seconds / SECONDS_PER_MONTH,
-                "lifetime_ratio": seconds / base_seconds,
-                "reached_target": result.reached_stop,
-            }
-        )
-    return rows

@@ -57,10 +57,11 @@ class LLCStats:
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
 
-    # Deprecated: thin wrappers over the registry collector (see
-    # repro.metrics.registry); kept one release for external callers.
-    # The returned dict is byte-identical to the historical
-    # field-walking implementation — the golden digests hash it.
+    # Thin wrappers over the registry collector (see
+    # repro.metrics.registry).  The engine snapshots at every epoch
+    # boundary and takes per-epoch deltas, and the golden digests hash
+    # snapshot(), so its dict must stay byte-identical to the
+    # historical field-walking implementation.
     def snapshot(self) -> Dict[str, int]:
         return REGISTRY.collect_raw("llc", self)
 

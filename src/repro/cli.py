@@ -35,10 +35,10 @@ import sys
 from typing import List, Optional, Sequence
 
 from .core import make_policy, registered_policies
-from .engine import Simulation
 from .experiments import (
     EXPERIMENT_NAMES,
     SCALE_NAMES,
+    forecast_policy,
     format_records,
     get_scale,
     run_compressor_ablation,
@@ -51,6 +51,7 @@ from .experiments import (
     run_fig11c_equal_cost,
     run_lifetime_study,
     run_migration_ablation,
+    run_one,
     run_wear_leveling_study,
     table1_rows,
     table2_rows,
@@ -58,7 +59,7 @@ from .experiments import (
     table4_rows,
     table5_rows,
 )
-from .forecast import SECONDS_PER_MONTH, Forecaster
+from .forecast import SECONDS_PER_MONTH
 from .metrics.export import EXPORT_FORMATS
 from .workloads.mixes import MIX_NAMES
 from .workloads.profiles import APP_NAMES
@@ -203,27 +204,10 @@ def cmd_workloads(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scale = _resolve_scale(args.scale)
-    config = scale.system()
     args.mix = _check_workload_ref(args.mix)
     name, policy = _make_policy_checked(args.policy)
     workload = scale.workload(args.mix, seed=args.seed)
-    sim = Simulation(config, policy, workload)
-    epoch = config.dueling.epoch_cycles
-    cycles = epoch * (args.warmup_epochs + args.epochs)
-    warmup = epoch * args.warmup_epochs
-    if args.profile:
-        import cProfile
-        from pathlib import Path
-
-        out = Path(args.profile)
-        out.mkdir(parents=True, exist_ok=True)
-        profiler = cProfile.Profile()
-        result = profiler.runcall(sim.run, cycles=cycles, warmup_cycles=warmup)
-        pstats_path = out / f"simulate_{args.mix}_{name}.pstats"
-        profiler.dump_stats(pstats_path)
-        print(f"profile: {pstats_path}")
-    else:
-        result = sim.run(cycles=cycles, warmup_cycles=warmup)
+    result = run_one(scale.system(), policy, workload, args.warmup_epochs, args.epochs)
     llc = result.stats.llc
     rows = [
         {"metric": "mean IPC", "value": result.mean_ipc},
@@ -243,22 +227,12 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     scale = _resolve_scale(args.scale)
     config = scale.system()
     args.mix = _check_workload_ref(args.mix)
-    epoch = config.dueling.epoch_cycles
     rows = []
     baseline_seconds = None
     for spec in args.policies:
         _, policy = _make_policy_checked(spec)
-        forecaster = Forecaster(
-            config,
-            policy,
-            scale.workload(args.mix, seed=args.seed),
-            phase_cycles=epoch * 3,
-            initial_warmup_cycles=epoch * 10,
-            rewarm_cycles=epoch * 0.75,
-            capacity_step=0.1,
-            max_steps=scale.forecast_max_steps,
-        )
-        result = forecaster.run()
+        workload = scale.workload(args.mix, seed=args.seed)
+        result = forecast_policy(scale, config, policy, workload, phase_epochs=3.0)
         seconds = result.lifetime_or_horizon_seconds()
         if baseline_seconds is None:
             baseline_seconds = seconds
@@ -350,7 +324,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         retries=args.retries,
         backoff_base=args.backoff,
         chaos=chaos,
-        profile_dir=args.profile,
     )
 
     if args.resume:
@@ -632,8 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=float, default=4.0)
     p.add_argument("--warmup-epochs", type=float, default=10.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--profile", default=None, metavar="DIR",
-                   help="dump a cProfile .pstats of the run into DIR")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("forecast", help="lifetime forecast for policies")
@@ -680,8 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chaos injection seed")
     p.add_argument("--chaos", default=None, metavar="SPEC",
                    help="inject faults, e.g. p=0.3,kinds=crash,timeout,corrupt")
-    p.add_argument("--profile", default=None, metavar="DIR",
-                   help="each worker dumps DIR/<task_id>.pstats")
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser(

@@ -189,33 +189,5 @@ class SystemConfig:
     endurance: EnduranceConfig = field(default_factory=EnduranceConfig)
     dueling: SetDuelingConfig = field(default_factory=SetDuelingConfig)
 
-    def with_llc(self, **kwargs) -> "SystemConfig":
-        return replace(self, llc=replace(self.llc, **kwargs))
-
-    def with_l2_kib(self, kib: int) -> "SystemConfig":
-        return replace(self, l2=CacheGeometry(kib * 1024, self.l2.ways))
-
-    def with_cv(self, cv: float) -> "SystemConfig":
-        return replace(self, endurance=replace(self.endurance, cv=cv))
-
     def with_nvm_latency_factor(self, factor: float) -> "SystemConfig":
         return replace(self, latency=self.latency.scaled_nvm(factor))
-
-
-def paper_system(
-    n_sets: int = 1024,
-    sram_ways: int = 4,
-    nvm_ways: int = 12,
-    cv: float = 0.2,
-    l2_kib: int = 128,
-    nvm_latency_factor: float = 1.0,
-) -> SystemConfig:
-    """Build the Table IV system, with the sensitivity-study knobs exposed."""
-    cfg = SystemConfig(
-        llc=HybridGeometry(n_sets=n_sets, sram_ways=sram_ways, nvm_ways=nvm_ways),
-        l2=CacheGeometry(l2_kib * 1024, 16),
-        endurance=EnduranceConfig(cv=cv),
-    )
-    if nvm_latency_factor != 1.0:
-        cfg = cfg.with_nvm_latency_factor(nvm_latency_factor)
-    return cfg

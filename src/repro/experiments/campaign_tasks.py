@@ -1,15 +1,15 @@
 """Campaign task registry: every experiment as a list of retryable units.
 
-The monolithic ``run_fig*`` functions are perfect for interactive use
-but hostile to fault tolerance: one crash loses hours of completed
-work.  This module decomposes each registered experiment into *units*
-— the smallest independently-runnable (figure x mix x policy) cells —
-so the campaign harness (:mod:`repro.harness`) can execute, retry,
-checkpoint and resume them individually.
+Each registered experiment is a list of *units* — the smallest
+independently-runnable (figure x mix x policy) cells — and the function
+that runs one.  The in-process ``run_fig*`` runners run the same units
+one after another and summarise them; the campaign harness
+(:mod:`repro.harness`) executes, retries, checkpoints and resumes them
+individually, so a crash loses one unit, not hours of completed work.
 
 A unit is a plain JSON-able dict of keyword arguments; running one is
-``EXPERIMENTS[name].run(scale, **unit)``, which returns a JSON-able,
-*deterministic* result dict (same unit + scale => byte-identical
+``EXPERIMENTS[name].run_unit(scale, **unit)``, which returns a
+*deterministic* record (same unit + scale => byte-identical
 serialisation — the property the resume machinery checks).
 """
 

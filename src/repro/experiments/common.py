@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import (
     CacheGeometry,
@@ -222,6 +222,34 @@ def _record_from_sim(sim, result, meta):
     if controller is not None:
         record.metrics.update(REGISTRY.collect("duel", controller))
     return record
+
+
+def mean_vs_bh(units: Sequence[dict], records: Sequence, cell: Callable) -> dict:
+    """Each cell's LLC hits and NVM bytes written over BH, mix-averaged.
+
+    ``records[i]`` is the record of ``units[i]``, live or parsed back
+    from a campaign result.  Each mix's ``bh`` unit is its baseline;
+    ``cell(unit)`` keys every other unit.  Returns ``{cell: (hits,
+    bytes)}``; the cells, and the mixes summed in each, keep the
+    units' order, so the float sums do not depend on record order.
+    """
+    base = {
+        unit["mix"]: (max(1, record.llc_hits), max(1, record.nvm_bytes_written))
+        for unit, record in zip(units, records)
+        if unit["policy"] == "bh"
+    }
+    ratios: Dict[object, List[Tuple[float, float]]] = {}
+    for unit, record in zip(units, records):
+        if unit["policy"] != "bh":
+            hits, written = base[unit["mix"]]
+            ratios.setdefault(cell(unit), []).append(
+                (record.llc_hits / hits, record.nvm_bytes_written / written)
+            )
+    return {
+        key: (sum(h for h, _ in pairs) / len(pairs),
+              sum(w for _, w in pairs) / len(pairs))
+        for key, pairs in ratios.items()
+    }
 
 
 def aged_capacities(

@@ -19,7 +19,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compression.encodings import CPTH_LADDER
 from ..core import make_policy
-from .common import ExperimentScale, get_scale, run_one
+from .common import ExperimentScale, get_scale, mean_vs_bh, run_one
+
+#: Epochs of warm-up and of measurement of every Fig. 6/7 simulation.
+WARMUP_EPOCHS, MEASURE_EPOCHS = 6, 3
 
 
 @dataclass
@@ -59,65 +62,41 @@ class SweepResult:
         return out
 
 
+def summarize_cpth_sweep(units: Sequence[dict], records: Sequence) -> SweepResult:
+    """Figs. 6/7 from the records of ``units``, in the units' order."""
+    means = mean_vs_bh(units, records, lambda unit: (unit["policy"], unit.get("cpth")))
+    result = SweepResult(
+        cpth_values=tuple(cpth for name, cpth in means if name == "ca"),
+        mixes=tuple(dict.fromkeys(unit["mix"] for unit in units)),
+    )
+    for cpth in result.cpth_values:
+        result.ca_hit[cpth], result.ca_bytes[cpth] = means["ca", cpth]
+        result.ca_rwr_hit[cpth], result.ca_rwr_bytes[cpth] = means["ca_rwr", cpth]
+    result.cp_sd_hit, result.cp_sd_bytes = means["cp_sd", None]
+    return result
+
+
 def run_cpth_sweep(
     scale: Optional[ExperimentScale] = None,
     mixes: Optional[Sequence[str]] = None,
     cpth_values: Sequence[int] = CPTH_LADDER,
-    warmup_epochs: float = 6,
-    measure_epochs: float = 3,
+    warmup_epochs: float = WARMUP_EPOCHS,
+    measure_epochs: float = MEASURE_EPOCHS,
 ) -> SweepResult:
     """Run the Fig. 6/7 sweep; values are normalised to BH per mix."""
     scale = scale or get_scale()
-    mixes = tuple(mixes if mixes is not None else scale.mixes)
-    config = scale.system()
-
-    acc: Dict[Tuple[str, int], List[float]] = {}
-    acc_bytes: Dict[Tuple[str, int], List[float]] = {}
-    sd_hits: List[float] = []
-    sd_bytes: List[float] = []
-
-    for mix in mixes:
-        workload = scale.workload(mix)
-        base = run_one(config, make_policy("bh"), workload, warmup_epochs, measure_epochs)
-        base_hits = max(1, base.llc_hits)
-        base_bytes = max(1, base.nvm_bytes_written)
-
-        for cpth in cpth_values:
-            for name in ("ca", "ca_rwr"):
-                res = run_one(
-                    config,
-                    make_policy(name, cpth=cpth),
-                    workload,
-                    warmup_epochs,
-                    measure_epochs,
-                )
-                acc.setdefault((name, cpth), []).append(res.llc_hits / base_hits)
-                acc_bytes.setdefault((name, cpth), []).append(
-                    res.nvm_bytes_written / base_bytes
-                )
-
-        res = run_one(config, make_policy("cp_sd"), workload, warmup_epochs, measure_epochs)
-        sd_hits.append(res.llc_hits / base_hits)
-        sd_bytes.append(res.nvm_bytes_written / base_bytes)
-
-    def mean(values: List[float]) -> float:
-        return sum(values) / len(values)
-
-    result = SweepResult(cpth_values=tuple(cpth_values), mixes=mixes)
-    for cpth in cpth_values:
-        result.ca_hit[cpth] = mean(acc[("ca", cpth)])
-        result.ca_bytes[cpth] = mean(acc_bytes[("ca", cpth)])
-        result.ca_rwr_hit[cpth] = mean(acc[("ca_rwr", cpth)])
-        result.ca_rwr_bytes[cpth] = mean(acc_bytes[("ca_rwr", cpth)])
-    result.cp_sd_hit = mean(sd_hits)
-    result.cp_sd_bytes = mean(sd_bytes)
-    return result
+    units = enumerate_cpth_units(scale, mixes, cpth_values)
+    return summarize_cpth_sweep(units, [
+        run_cpth_unit(scale, **unit, warmup_epochs=warmup_epochs,
+                      measure_epochs=measure_epochs)
+        for unit in units
+    ])
 
 
 # ----------------------------------------------------------------------
-# Campaign units — one retryable task per (mix, policy[, CP_th]) run.
-# Normalisation to BH happens at aggregation time from the per-mix
-# ``bh`` baseline unit, so every unit stores raw counters.
+# Cells — one retryable task per (mix, policy[, CP_th]) run.
+# Normalisation to BH happens in ``summarize_cpth_sweep`` from the
+# per-mix ``bh`` baseline unit, so every unit stores raw counters.
 
 def enumerate_cpth_units(
     scale,
@@ -139,8 +118,8 @@ def run_cpth_unit(
     mix: str,
     policy: str,
     cpth: Optional[int] = None,
-    warmup_epochs: float = 6,
-    measure_epochs: float = 3,
+    warmup_epochs: float = WARMUP_EPOCHS,
+    measure_epochs: float = MEASURE_EPOCHS,
 ):
     """One Fig. 6/7 simulation; the campaign-worker entry point.
 

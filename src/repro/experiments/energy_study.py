@@ -36,11 +36,16 @@ def run_energy_study(
 ) -> List[dict]:
     scale = scale or get_scale()
     mixes = tuple(mixes if mixes is not None else scale.mixes[:2])
-    config = scale.system()
-    model = EnergyModel(config, params)
+    # (label, system, policy) per row; the last row is the
+    # iso-associativity SRAM LLC, the leakage bound the hybrid attacks.
+    lineup = [(name, scale.system(), name) for name in policies]
+    lineup.append(
+        ("sram16 (bound)", scale.system(sram_ways=16, nvm_ways=0), "sram")
+    )
 
     rows: List[dict] = []
-    for name in policies:
+    for label, config, name in lineup:
+        model = EnergyModel(config, params)
         totals = {"nvm_write": 0.0, "llc_dyn": 0.0, "leak": 0.0, "llc": 0.0,
                   "total": 0.0}
         ipc = 0.0
@@ -56,7 +61,7 @@ def run_energy_study(
             ipc += res.mean_ipc / len(mixes)
         rows.append(
             {
-                "policy": name,
+                "policy": label,
                 "ipc": ipc,
                 "nvm_write_nj": totals["nvm_write"],
                 "llc_dynamic_nj": totals["llc_dyn"],
@@ -65,30 +70,4 @@ def run_energy_study(
                 "total_nj": totals["total"],
             }
         )
-
-    # iso-associativity SRAM LLC: the leakage bound the hybrid attacks
-    sram_cfg = scale.system(sram_ways=16, nvm_ways=0)
-    sram_model = EnergyModel(sram_cfg, params)
-    totals = {"llc": 0.0, "leak": 0.0, "dyn": 0.0, "total": 0.0}
-    ipc = 0.0
-    for mix in mixes:
-        res = run_one(sram_cfg, make_policy("sram"), scale.workload(mix),
-                      warmup_epochs, measure_epochs)
-        breakdown = sram_model.evaluate(res.stats, res.seconds)
-        totals["llc"] += breakdown.llc_total
-        totals["leak"] += breakdown.sram_leakage + breakdown.nvm_leakage
-        totals["dyn"] += breakdown.llc_dynamic
-        totals["total"] += breakdown.total
-        ipc += res.mean_ipc / len(mixes)
-    rows.append(
-        {
-            "policy": "sram16 (bound)",
-            "ipc": ipc,
-            "nvm_write_nj": 0.0,
-            "llc_dynamic_nj": totals["dyn"],
-            "llc_leakage_nj": totals["leak"],
-            "llc_total_nj": totals["llc"],
-            "total_nj": totals["total"],
-        }
-    )
     return rows

@@ -22,11 +22,13 @@ Expected shapes (Sec. V-B..V-G):
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import make_policy
 from ..forecast import ForecastResult, Forecaster
+from ..metrics import RunRecord
 from ..metrics.registry import register_metric
 from .common import ExperimentScale, get_scale, run_one
 
@@ -69,16 +71,19 @@ class LifetimeStudy:
     label: str
     upper_bound_ipc: float
     lower_bound_ipc: float
-    forecasts: Dict[str, List[ForecastResult]] = field(default_factory=dict)
+    #: Policy key -> its forecast unit records, one per mix.
+    forecasts: Dict[str, List[RunRecord]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    def initial_ipc(self, key: str) -> float:
+    def _mean(self, key: str, metric: str) -> float:
         runs = self.forecasts[key]
-        return sum(r.initial_ipc for r in runs) / len(runs)
+        return sum(r.metric(metric) for r in runs) / len(runs)
+
+    def initial_ipc(self, key: str) -> float:
+        return self._mean(key, "forecast.initial_ipc")
 
     def lifetime_seconds(self, key: str) -> float:
-        runs = self.forecasts[key]
-        return sum(r.lifetime_or_horizon_seconds() for r in runs) / len(runs)
+        return self._mean(key, "forecast.lifetime_seconds")
 
     def lifetime_months(self, key: str) -> float:
         from ..forecast import SECONDS_PER_MONTH
@@ -137,6 +142,29 @@ def bound_ipc(
     return res.mean_ipc
 
 
+def summarize_lifetime_study(
+    units: Sequence[dict], records: Sequence, label: str = "fig10a"
+) -> LifetimeStudy:
+    """One study from the records of ``units``, in the units' order."""
+    bounds: Dict[int, List[float]] = {}
+    forecasts: Dict[str, List[RunRecord]] = {}
+    for unit, record in zip(units, records):
+        if unit["kind"] == "bound":
+            bounds.setdefault(unit["ways"], []).append(
+                record.metric("forecast.bound_ipc")
+            )
+        else:
+            forecasts.setdefault(unit["policy"], []).append(record)
+    upper = bounds[max(bounds)] if bounds else [0.0]
+    lower = bounds[min(bounds)] if bounds else [0.0]
+    return LifetimeStudy(
+        label=label,
+        upper_bound_ipc=sum(upper) / len(upper),
+        lower_bound_ipc=sum(lower) / len(lower),
+        forecasts=forecasts,
+    )
+
+
 def run_lifetime_study(
     scale: Optional[ExperimentScale] = None,
     label: str = "fig10a",
@@ -150,34 +178,25 @@ def run_lifetime_study(
     nvm_latency_factor: float = 1.0,
     with_bounds: bool = True,
 ) -> LifetimeStudy:
-    """One full performance-vs-lifetime study (one paper sub-figure)."""
+    """One full performance-vs-lifetime study (one paper sub-figure).
+
+    A forecast unit names its policy by key, so every ``(key, name,
+    kwargs)`` of ``policies`` must be the one ``POLICY_SPECS`` holds.
+    """
     scale = scale or get_scale()
-    mixes = tuple(mixes if mixes is not None else scale.mixes)
-    config = scale.system(
-        sram_ways=sram_ways,
-        nvm_ways=nvm_ways,
-        cv=cv,
-        l2_kib=l2_kib,
+    for key, name, kwargs in policies:
+        if POLICY_SPECS.get(key) != (name, kwargs):
+            raise ValueError(
+                f"policy {key!r} is {POLICY_SPECS.get(key)} in POLICY_SPECS, "
+                f"not {(name, kwargs)}"
+            )
+    units = enumerate_lifetime_units(
+        scale, mixes, policies, with_bounds,
+        sram_ways=sram_ways, nvm_ways=nvm_ways, cv=cv, l2_kib=l2_kib,
         nvm_latency_factor=nvm_latency_factor,
     )
-    workloads = {mix: scale.workload(mix) for mix in mixes}
-
-    upper = lower = 0.0
-    if with_bounds:
-        total_ways = sram_ways + nvm_ways
-        uppers = [bound_ipc(scale, wl, total_ways) for wl in workloads.values()]
-        lowers = [bound_ipc(scale, wl, sram_ways) for wl in workloads.values()]
-        upper = sum(uppers) / len(uppers)
-        lower = sum(lowers) / len(lowers)
-
-    study = LifetimeStudy(label=label, upper_bound_ipc=upper, lower_bound_ipc=lower)
-    for key, name, kwargs in policies:
-        runs = []
-        for mix in mixes:
-            policy = make_policy(name, **kwargs)
-            runs.append(forecast_policy(scale, config, policy, workloads[mix]))
-        study.forecasts[key] = runs
-    return study
+    records = [run_lifetime_unit(scale, **unit) for unit in units]
+    return summarize_lifetime_study(units, records, label)
 
 
 def run_fig11c_equal_cost(
@@ -232,9 +251,9 @@ def run_fig11c_equal_cost(
 
 
 # ----------------------------------------------------------------------
-# Campaign units — one retryable task per (mix, policy) forecast plus
-# the per-mix SRAM-only IPC bounds.  ``nvm_ways`` lets the Fig. 11c
-# equal-storage variants reuse the same unit runner.
+# Cells — one retryable task per (mix, policy) forecast plus the
+# per-mix SRAM-only IPC bounds.  The system knobs let every sensitivity
+# study (Figs. 10b-11c) reuse the same unit runner.
 
 #: Policy key -> (registry name, kwargs), covering every study line-up.
 POLICY_SPECS: Dict[str, Tuple[str, dict]] = {
@@ -249,17 +268,23 @@ def enumerate_lifetime_units(
     with_bounds: bool = True,
     sram_ways: int = 4,
     nvm_ways: int = 12,
+    cv: float = 0.2,
+    l2_kib: Optional[int] = None,
+    nvm_latency_factor: float = 1.0,
 ) -> List[dict]:
+    knobs = {"sram_ways": sram_ways, "nvm_ways": nvm_ways, "cv": cv,
+             "l2_kib": l2_kib, "nvm_latency_factor": nvm_latency_factor}
+    # A forecast unit names only the knobs that differ from
+    # run_lifetime_unit's defaults, so default units keep their ids.
+    defaults = inspect.signature(run_lifetime_unit).parameters
+    changed = {k: v for k, v in knobs.items() if v != defaults[k].default}
     units: List[dict] = []
     for mix in tuple(mixes if mixes is not None else scale.mixes):
         if with_bounds:
             units.append({"mix": mix, "kind": "bound", "ways": sram_ways + nvm_ways})
             units.append({"mix": mix, "kind": "bound", "ways": sram_ways})
         for key, _, _ in policies:
-            unit = {"mix": mix, "kind": "forecast", "policy": key}
-            if nvm_ways != 12:
-                unit["nvm_ways"] = nvm_ways
-            units.append(unit)
+            units.append({"mix": mix, "kind": "forecast", "policy": key, **changed})
     return units
 
 

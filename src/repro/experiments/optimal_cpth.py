@@ -21,6 +21,9 @@ from ..compression.encodings import CPTH_LADDER
 from ..core import make_policy
 from .common import ExperimentScale, aged_capacities, get_scale, run_one
 
+#: Epochs of warm-up and of measurement of every Fig. 8 simulation.
+WARMUP_EPOCHS, MEASURE_EPOCHS = 5, 6
+
 
 @dataclass
 class WinnerDistribution:
@@ -72,66 +75,75 @@ def winner_distribution(
     )
 
 
+def _shares(record) -> Dict[int, float]:
+    return {int(cpth): share for cpth, share in record.values["shares"].items()}
+
+
+def summarize_fig8a(
+    units: Sequence[dict], records: Sequence
+) -> List[WinnerDistribution]:
+    """Fig. 8a: each capacity's winner shares, averaged over its mixes."""
+    cells: Dict[int, List[Dict[int, float]]] = {}
+    for unit, record in zip(units, records):
+        cells.setdefault(unit["capacity_pct"], []).append(_shares(record))
+    out: List[WinnerDistribution] = []
+    for pct, per_mix in cells.items():
+        shares = {cpth: 0.0 for cpth in per_mix[0]}
+        for mix_shares in per_mix:
+            for cpth in shares:
+                shares[cpth] += mix_shares[cpth] / len(per_mix)
+        out.append(WinnerDistribution(label=f"{pct}%", shares=shares))
+    return out
+
+
+def summarize_fig8b(
+    units: Sequence[dict], records: Sequence
+) -> List[WinnerDistribution]:
+    """Fig. 8b: each mix's winner shares."""
+    return [
+        WinnerDistribution(label=unit["mix"], shares=_shares(record))
+        for unit, record in zip(units, records)
+    ]
+
+
 def run_fig8a(
     scale: Optional[ExperimentScale] = None,
     capacities_pct: Sequence[int] = (100, 90, 80, 70, 60, 50),
     mixes: Optional[Sequence[str]] = None,
     cpth_values: Sequence[int] = CPTH_LADDER,
-    warmup_epochs: float = 5,
-    measure_epochs: float = 6,
+    warmup_epochs: float = WARMUP_EPOCHS,
+    measure_epochs: float = MEASURE_EPOCHS,
 ) -> List[WinnerDistribution]:
     """Winner distribution vs NVM effective capacity (mix-aggregated)."""
     scale = scale or get_scale()
-    mixes = tuple(mixes if mixes is not None else scale.mixes)
-    config = scale.system()
-    out: List[WinnerDistribution] = []
-    for pct in capacities_pct:
-        caps = aged_capacities(config, pct / 100.0)
-        shares = {c: 0.0 for c in cpth_values}
-        for mix in mixes:
-            dist = winner_distribution(
-                f"{pct}%/{mix}",
-                config,
-                scale.workload(mix),
-                caps,
-                cpth_values,
-                warmup_epochs,
-                measure_epochs,
-            )
-            for c in cpth_values:
-                shares[c] += dist.shares[c] / len(mixes)
-        out.append(WinnerDistribution(label=f"{pct}%", shares=shares))
-    return out
+    units = enumerate_fig8_units(scale, capacities_pct, mixes)
+    return summarize_fig8a(units, [
+        run_fig8_unit(scale, **unit, cpth_values=cpth_values,
+                      warmup_epochs=warmup_epochs, measure_epochs=measure_epochs)
+        for unit in units
+    ])
 
 
 def run_fig8b(
     scale: Optional[ExperimentScale] = None,
     mixes: Optional[Sequence[str]] = None,
     cpth_values: Sequence[int] = CPTH_LADDER,
-    warmup_epochs: float = 5,
-    measure_epochs: float = 6,
+    warmup_epochs: float = WARMUP_EPOCHS,
+    measure_epochs: float = MEASURE_EPOCHS,
 ) -> List[WinnerDistribution]:
     """Per-mix winner distribution at 100 % NVM capacity."""
     scale = scale or get_scale()
-    mixes = tuple(mixes if mixes is not None else scale.mixes)
-    config = scale.system()
-    return [
-        winner_distribution(
-            mix,
-            config,
-            scale.workload(mix),
-            None,
-            cpth_values,
-            warmup_epochs,
-            measure_epochs,
-        )
-        for mix in mixes
-    ]
+    units = enumerate_fig8_units(scale, (100,), mixes)
+    return summarize_fig8b(units, [
+        run_fig8_unit(scale, **unit, cpth_values=cpth_values,
+                      warmup_epochs=warmup_epochs, measure_epochs=measure_epochs)
+        for unit in units
+    ])
 
 
 # ----------------------------------------------------------------------
-# Campaign units — one retryable task per (capacity, mix) winner
-# distribution (each unit internally sweeps the CP_th ladder).
+# Cells — one retryable task per (capacity, mix) winner distribution
+# (each unit internally sweeps the CP_th ladder).
 
 def enumerate_fig8_units(
     scale,
@@ -151,8 +163,8 @@ def run_fig8_unit(
     mix: str,
     capacity_pct: int = 100,
     cpth_values: Sequence[int] = CPTH_LADDER,
-    warmup_epochs: float = 5,
-    measure_epochs: float = 6,
+    warmup_epochs: float = WARMUP_EPOCHS,
+    measure_epochs: float = MEASURE_EPOCHS,
 ):
     """One winner-distribution cell; the campaign-worker entry point.
 

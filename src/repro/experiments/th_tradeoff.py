@@ -13,7 +13,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..core import make_policy
-from .common import ExperimentScale, aged_capacities, get_scale, run_one
+from .common import ExperimentScale, aged_capacities, get_scale, mean_vs_bh, run_one
+
+#: Epochs of warm-up and of measurement of every Fig. 9 simulation.
+WARMUP_EPOCHS, MEASURE_EPOCHS = 6, 6
 
 
 @dataclass(frozen=True)
@@ -24,59 +27,36 @@ class TradeoffPoint:
     nvm_bytes_norm: float     # vs BH at 100 % capacity
 
 
+def summarize_fig9(units: Sequence[dict], records: Sequence) -> List[TradeoffPoint]:
+    """Fig. 9 from the records of ``units``, in the units' order."""
+    means = mean_vs_bh(units, records, lambda unit: (unit["capacity_pct"], unit["th"]))
+    return [
+        TradeoffPoint(th=th, capacity_pct=pct, hits_norm=hits, nvm_bytes_norm=written)
+        for (pct, th), (hits, written) in means.items()
+    ]
+
+
 def run_fig9(
     scale: Optional[ExperimentScale] = None,
     th_values: Sequence[float] = (0.0, 2.0, 4.0, 6.0, 8.0),
     capacities_pct: Sequence[int] = (100, 90, 80),
     tw: float = 5.0,
     mixes: Optional[Sequence[str]] = None,
-    warmup_epochs: float = 6,
-    measure_epochs: float = 6,
+    warmup_epochs: float = WARMUP_EPOCHS,
+    measure_epochs: float = MEASURE_EPOCHS,
 ) -> List[TradeoffPoint]:
     scale = scale or get_scale()
-    mixes = tuple(mixes if mixes is not None else scale.mixes)
-    config = scale.system()
-
-    # BH baseline at 100 % capacity, per mix
-    base = {}
-    for mix in mixes:
-        res = run_one(
-            config, make_policy("bh"), scale.workload(mix), warmup_epochs, measure_epochs
-        )
-        base[mix] = (max(1, res.llc_hits), max(1, res.nvm_bytes_written))
-
-    points: List[TradeoffPoint] = []
-    for pct in capacities_pct:
-        caps = aged_capacities(config, pct / 100.0) if pct < 100 else None
-        for th in th_values:
-            hit_norms: List[float] = []
-            byte_norms: List[float] = []
-            for mix in mixes:
-                policy = make_policy("cp_sd_th", th=th, tw=tw)
-                res = run_one(
-                    config,
-                    policy,
-                    scale.workload(mix),
-                    warmup_epochs,
-                    measure_epochs,
-                    capacities=caps,
-                )
-                hit_norms.append(res.llc_hits / base[mix][0])
-                byte_norms.append(res.nvm_bytes_written / base[mix][1])
-            points.append(
-                TradeoffPoint(
-                    th=th,
-                    capacity_pct=pct,
-                    hits_norm=sum(hit_norms) / len(hit_norms),
-                    nvm_bytes_norm=sum(byte_norms) / len(byte_norms),
-                )
-            )
-    return points
+    units = enumerate_fig9_units(scale, th_values, capacities_pct, mixes)
+    return summarize_fig9(units, [
+        run_fig9_unit(scale, **unit, tw=tw, warmup_epochs=warmup_epochs,
+                      measure_epochs=measure_epochs)
+        for unit in units
+    ])
 
 
 # ----------------------------------------------------------------------
-# Campaign units — one retryable task per (mix, Th, capacity) point
-# plus the per-mix BH baseline; normalisation happens at aggregation.
+# Cells — one retryable task per (mix, Th, capacity) point plus the
+# per-mix BH baseline; normalisation happens in ``summarize_fig9``.
 
 def enumerate_fig9_units(
     scale,
@@ -107,8 +87,8 @@ def run_fig9_unit(
     th: Optional[float] = None,
     tw: float = 5.0,
     capacity_pct: int = 100,
-    warmup_epochs: float = 6,
-    measure_epochs: float = 6,
+    warmup_epochs: float = WARMUP_EPOCHS,
+    measure_epochs: float = MEASURE_EPOCHS,
 ):
     """One Fig. 9 simulation; the campaign-worker entry point.
 

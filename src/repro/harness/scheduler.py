@@ -110,9 +110,6 @@ class CampaignSettings:
     retries: int = 3
     backoff_base: float = 1.0
     chaos: Optional[ChaosConfig] = None
-    #: When set, every worker profiles its task attempt with cProfile
-    #: and dumps ``<profile_dir>/<task_id>.pstats``.
-    profile_dir: Optional[str] = None
 
 
 @dataclass
@@ -256,7 +253,6 @@ class CampaignRunner:
             attempt=attempt,
             chaos=self.settings.chaos,
             hang_seconds=self.settings.task_timeout * 4 + 60.0,
-            profile_dir=self.settings.profile_dir,
         )
 
     def _scrub_bad_result(self, task: CampaignTask) -> None:

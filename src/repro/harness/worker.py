@@ -65,7 +65,6 @@ def build_payload(
     attempt: int,
     chaos: ChaosConfig = None,
     hang_seconds: float = 3600.0,
-    profile_dir: str = None,
 ) -> str:
     """Serialise one attempt's instructions for a worker."""
     return json.dumps(
@@ -79,7 +78,6 @@ def build_payload(
             "attempt": attempt,
             "chaos": chaos.to_json() if chaos else None,
             "hang_seconds": hang_seconds,
-            "profile_dir": profile_dir,
         }
     )
 
@@ -131,26 +129,9 @@ def _execute_attempt(payload: dict) -> bool:
     try:
         from ..experiments.campaign_tasks import run_campaign_task
 
-        profile_dir = payload.get("profile_dir")
-        if profile_dir:
-            import cProfile
-            from pathlib import Path
-
-            profiler = cProfile.Profile()
-            try:
-                result = profiler.runcall(
-                    run_campaign_task,
-                    payload["experiment"], payload["unit"], payload["scale"],
-                )
-            finally:
-                out = Path(profile_dir)
-                out.mkdir(parents=True, exist_ok=True)
-                name = payload["task_id"].replace("/", "_")
-                profiler.dump_stats(out / f"{name}.pstats")
-        else:
-            result = run_campaign_task(
-                payload["experiment"], payload["unit"], payload["scale"]
-            )
+        result = run_campaign_task(
+            payload["experiment"], payload["unit"], payload["scale"]
+        )
         write_json_atomic(
             payload["result_path"],
             {

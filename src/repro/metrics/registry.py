@@ -22,9 +22,8 @@ Layers group metrics by producing object::
 
 ``collect(layer, obj)`` returns ``{"<layer>.<name>": value}`` for a
 :class:`~repro.metrics.record.RunRecord`'s ``metrics`` mapping;
-``collect_raw`` returns plain attribute-name keys — the exact dict the
-deprecated ``LLCStats.snapshot()`` / ``EnergyBreakdown.as_dict()``
-wrappers forward to, so their output stays byte-identical.
+``collect_raw`` returns plain attribute-name keys — the exact dict
+``LLCStats.snapshot()`` forwards to, so its output stays byte-identical.
 """
 
 from __future__ import annotations
@@ -158,9 +157,9 @@ class MetricRegistry:
     def collect_raw(self, layer: str, obj: Any) -> Dict[str, Any]:
         """Plain attribute-name keys, in declaration order.
 
-        This is what the deprecated ``snapshot()`` / ``as_dict()``
-        wrappers return — key names and values must stay byte-identical
-        to the historical hand-rolled dicts.
+        This is what ``LLCStats.snapshot()`` returns — key names and
+        values must stay byte-identical to the historical hand-rolled
+        dict (the golden digests hash it).
         """
         return {
             spec.short_name: self._read(obj, spec)

@@ -20,11 +20,10 @@ experiments only consume *relative* energies between policies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from ..cache.stats import HierarchyStats
 from ..config import SystemConfig
-from ..metrics.registry import REGISTRY, register_metric
+from ..metrics.registry import register_metric
 
 
 @dataclass(frozen=True)
@@ -80,14 +79,7 @@ class EnergyBreakdown:
             + self.nvm_leakage
         )
 
-    # Deprecated: thin wrapper over the registry collector (see
-    # repro.metrics.registry); kept one release for external callers.
-    # Keys and values match the historical hand-rolled dict exactly.
-    def as_dict(self) -> Dict[str, float]:
-        return REGISTRY.collect_raw("energy", self)
 
-
-# Declaration order mirrors the historical as_dict() key order.
 for _name, _doc in (
     ("l1_dynamic", "Dynamic energy of all L1 accesses"),
     ("l2_dynamic", "Dynamic energy of all L2 accesses"),

@@ -6,10 +6,7 @@ from repro.analysis import (
     Curve,
     LIFETIME_CLAIMS,
     ascii_chart,
-    average_curves,
     check_claims,
-    lifetime_table,
-    normalise,
     resample_capacity,
     resample_ipc,
     time_grid,
@@ -46,20 +43,6 @@ def test_resample_capacity():
     assert curve.values == [1.0, 0.8, 0.5]
 
 
-def test_average_and_normalise():
-    grid = [0.0, 50.0, 100.0]
-    a = resample_ipc(forecast(scale=1.0), grid)
-    b = resample_ipc(forecast(scale=2.0), grid)
-    mean = average_curves("mean", [a, b])
-    assert mean.values[0] == pytest.approx(3.0)
-    unit = normalise(mean, 3.0)
-    assert unit.values[0] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        average_curves("x", [])
-    with pytest.raises(ValueError):
-        normalise(mean, 0.0)
-
-
 def test_curve_length_mismatch_rejected():
     with pytest.raises(ValueError):
         Curve("x", [0.0, 1.0], [1.0])
@@ -73,12 +56,6 @@ def test_ascii_chart_renders():
     assert "months" in text
     assert len(text.splitlines()) == 8 + 3
     assert ascii_chart([]) == "(no curves)"
-
-
-def test_lifetime_table_normalises_to_first():
-    rows = lifetime_table({"bh": forecast("bh"), "sd": forecast("sd")})
-    assert rows[0]["lifetime_ratio"] == 1.0
-    assert rows[1]["policy"] == "sd"
 
 
 # ----------------------------------------------------------------------

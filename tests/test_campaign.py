@@ -400,9 +400,16 @@ def test_disk_fault_chaos_is_byte_identical_and_quarantines(
 
 def test_simulation_units_through_the_pool_match_in_process_runs(tmp_path):
     """Smoke ``fig6`` units on mix1 build a real workload in each pool
-    worker: one worker and two must write the same bytes, and a stored
-    result must equal the unit run in this process."""
-    from repro.experiments.campaign_tasks import run_campaign_task
+    worker: one worker and two must write the same bytes, a stored
+    result must equal the unit run in this process, and the stored
+    records, in the units' order, must summarise to the in-process
+    figure."""
+    from repro.experiments import SMOKE, run_cpth_sweep
+    from repro.experiments.campaign_tasks import run_campaign_task, unit_id
+    from repro.experiments.cpth_sweep import (
+        enumerate_cpth_units,
+        summarize_cpth_sweep,
+    )
     from repro.harness import dump_json
 
     directories = {}
@@ -428,6 +435,16 @@ def test_simulation_units_through_the_pool_match_in_process_runs(tmp_path):
     assert stored["unit"]["mix"] == "mix1"
     in_process = run_campaign_task("fig6", stored["unit"], "smoke")
     assert dump_json(stored["result"]) == dump_json(in_process)
+
+    by_id = {}
+    for path in (directories[2] / "results").glob("*.json"):
+        result = load_result(path)
+        by_id[unit_id(result["unit"])] = RunRecord.from_json(result["result"])
+    units = enumerate_cpth_units(SMOKE, ("mix1",))
+    records = [by_id[unit_id(unit)] for unit in units]
+    assert summarize_cpth_sweep(units, records) == run_cpth_sweep(
+        SMOKE, mixes=("mix1",)
+    )
 
 
 def test_smoke_campaign_with_chaos_loses_nothing(tmp_path, capsys):

@@ -10,8 +10,8 @@ from repro.config import (
     LatencyConfig,
     SetDuelingConfig,
     SystemConfig,
-    paper_system,
 )
+from repro.experiments.common import SMOKE
 
 
 def test_block_size():
@@ -86,17 +86,14 @@ def test_dueling_defaults_match_paper():
 
 def test_system_knob_helpers():
     cfg = SystemConfig()
-    assert cfg.with_llc(sram_ways=3, nvm_ways=13).llc.total_ways == 16
-    assert cfg.with_l2_kib(256).l2.size_bytes == 256 * 1024
-    assert cfg.with_cv(0.25).endurance.cv == 0.25
     assert cfg.with_nvm_latency_factor(1.5).latency.llc_nvm_load == 36
 
 
-def test_paper_system_builder():
-    cfg = paper_system(n_sets=512, sram_ways=3, nvm_ways=13, cv=0.25,
-                       l2_kib=256, nvm_latency_factor=1.5)
-    assert cfg.llc.n_sets == 512
-    assert cfg.llc.sram_ways == 3
+def test_scale_system_knobs():
+    cfg = SMOKE.system(sram_ways=3, nvm_ways=13, cv=0.25, l2_kib=256,
+                       nvm_latency_factor=1.5)
+    assert cfg.llc.n_sets == SMOKE.n_sets
+    assert (cfg.llc.sram_ways, cfg.llc.nvm_ways) == (3, 13)
     assert cfg.endurance.cv == 0.25
-    assert cfg.l2.size_bytes == 256 * 1024
+    assert cfg.l2.size_bytes == int(256 * SMOKE.factor) * 1024
     assert cfg.latency.llc_nvm_load == 36

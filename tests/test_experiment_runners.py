@@ -69,6 +69,35 @@ def test_lifetime_study_structure():
     assert study.initial_ipc("bh") > 0
 
 
+def test_lifetime_study_rejects_a_policy_its_units_cannot_name(monkeypatch):
+    """A forecast unit names its policy by key, so a triple that
+    disagrees with ``POLICY_SPECS`` fails before anything simulates."""
+    import repro.experiments.lifetime as lifetime
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before validating the policies")
+
+    monkeypatch.setattr(lifetime, "run_lifetime_unit", no_simulation)
+    with pytest.raises(ValueError, match="cp_sd_th8"):
+        run_lifetime_study(
+            SMOKE, mixes=MIX, policies=(("cp_sd_th8", "cp_sd_th", {"th": 6.0}),)
+        )
+
+
+def test_lifetime_units_name_only_changed_knobs():
+    from repro.experiments.lifetime import enumerate_lifetime_units
+
+    bh = (("bh", "bh", {}),)
+    default = enumerate_lifetime_units(SMOKE, MIX, bh, with_bounds=False)
+    assert default == [{"mix": "mix1", "kind": "forecast", "policy": "bh"}]
+    skewed = enumerate_lifetime_units(
+        SMOKE, MIX, bh, sram_ways=3, nvm_ways=13, cv=0.25
+    )
+    assert [u["ways"] for u in skewed if u["kind"] == "bound"] == [16, 3]
+    assert skewed[-1] == {"mix": "mix1", "kind": "forecast", "policy": "bh",
+                          "sram_ways": 3, "nvm_ways": 13, "cv": 0.25}
+
+
 def test_epoch_sweep_normalisation():
     rows = run_epoch_size_sweep(
         SMOKE, multipliers=(1.0, 2.0), mixes=MIX,
