@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: the test suite and digest-checked perfbench passes,
-# the smoke paper artefacts, the artefact, durability, analytical,
-# explorer and workload gates, and a same-host speed gate.
+# the smoke paper artefacts, the artefact, durability and workload
+# gates, and a same-host speed gate.
 #
 # Usage: scripts/ci.sh
 #   [--skip-tests|--skip-figures|--skip-bench|--skip-schema|
-#    --skip-durability|--skip-analytical|--skip-workloads]
+#    --skip-durability|--skip-workloads]
 #
 # The figures leg reruns every benchmark under benchmarks/ at smoke
 # scale (about 7 minutes on a 2-vCPU host) and fails unless each
@@ -27,7 +27,6 @@ RUN_FIGURES=1
 RUN_BENCH=1
 RUN_SCHEMA=1
 RUN_DURABILITY=1
-RUN_ANALYTICAL=1
 RUN_WORKLOADS=1
 for arg in "$@"; do
   case "$arg" in
@@ -36,7 +35,6 @@ for arg in "$@"; do
     --skip-bench) RUN_BENCH=0 ;;
     --skip-schema) RUN_SCHEMA=0 ;;
     --skip-durability) RUN_DURABILITY=0 ;;
-    --skip-analytical) RUN_ANALYTICAL=0 ;;
     --skip-workloads) RUN_WORKLOADS=0 ;;
     *) echo "ci.sh: unknown argument '$arg'" >&2; exit 2 ;;
   esac
@@ -91,10 +89,9 @@ fi
 
 if [[ "$RUN_SCHEMA" == 1 ]]; then
   echo "== ci: artefact schema consistency =="
-  # Every committed BENCH_*.json must validate against the *current*
-  # RunRecord schema and metric registry, and the golden digests must
-  # stay readable, so a metric rename or schema bump can never silently
-  # orphan artefacts.
+  # The golden digests must stay readable and every registered metric
+  # layer must still match the dataclass that produces it, so a metric
+  # rename can never silently orphan artefacts.
   python -m repro export --check
 fi
 
@@ -178,44 +175,6 @@ if [[ "$RUN_DURABILITY" == 1 ]]; then
   python -m repro doctor --strict "$TMP_ROOT/durability"
   # ... and the committed artefacts audit clean too.
   python -m repro doctor --strict
-fi
-
-if [[ "$RUN_ANALYTICAL" == 1 ]]; then
-  echo "== ci: analytical estimator accuracy gate =="
-  # Re-estimate every case of the committed reference matrix and fail
-  # when any mean error leaves its documented tolerance
-  # (docs/analytical_validation.md) — the contract that licenses the
-  # explorer's screening tier.
-  python -m repro --scale smoke analytical
-
-  echo "== ci: explorer smoke (tiny grid, kill-and-resume) =="
-  # A tiny-grid sweep with a crash injected right after rung 1's
-  # durable write must abort, leave the rung artefact on disk, and
-  # complete under --resume without recomputing finished rungs; the
-  # resulting directory must pass a strict doctor audit.
-  if REPRO_EXPLORE_KILL_AFTER="rung:1" python -m repro --scale smoke explore \
-      --out "$TMP_ROOT/explore" --space tiny --confirm 4 >/dev/null 2>&1; then
-    echo "FAIL: injected kill after rung 1 did not abort the sweep" >&2
-    exit 1
-  fi
-  if [[ ! -f "$TMP_ROOT/explore/rung_1.json" ]]; then
-    echo "FAIL: rung_1.json not durable at the kill point" >&2
-    exit 1
-  fi
-  python -m repro --scale smoke explore --resume "$TMP_ROOT/explore" \
-    --space tiny --confirm 4
-  if [[ ! -f "$TMP_ROOT/explore/frontier.json" ]]; then
-    echo "FAIL: resume did not produce frontier.json" >&2
-    exit 1
-  fi
-  python -m repro doctor --strict "$TMP_ROOT/explore"
-
-  echo "== ci: explorer leverage floor (full default space) =="
-  # `repro bench` exits 1 when screening the 1008-point space and
-  # confirming its survivors costs less than 50x fewer simulated
-  # instructions than simulating every point.  It counts instructions,
-  # not seconds, so the gate is deterministic.
-  python -m repro bench --scale smoke --out "$TMP_ROOT/explore_bench"
 fi
 
 if [[ "$RUN_WORKLOADS" == 1 ]]; then

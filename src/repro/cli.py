@@ -9,22 +9,17 @@ Commands
 ``figure``    — regenerate one of the paper's tables/figures
 ``ablation``  — run one of the design-choice ablations
 ``campaign``  — fault-tolerant multi-experiment run with resume
-``bench``     — the explorer's 50x simulated-instruction floor
 ``export``    — convert RunRecord artefacts to json/csv/jsonl,
                 or ``--check`` committed artefacts for schema drift
 ``doctor``    — audit artefact integrity (envelopes, checksums,
                 schemas); ``--repair`` quarantines, ``--strict`` gates
-``analytical``— validate the closed-form estimator against the
-                committed reference matrix (``--regenerate`` re-runs
-                and re-commits it)
-``explore``   — successive-halving design-space sweep: analytical
-                screening rungs, simulated confirmation, Pareto
-                frontier; crash-consistent artefacts with ``--resume``
 ``status``    — task summary and last-run counters of a campaign
                 directory
 
 Unknown mix/policy/scale/experiment names exit with code 2 and a
-one-line "did you mean" suggestion instead of a traceback.
+one-line "did you mean" suggestion instead of a traceback; impossible
+settings (a non-positive ``--epochs``, a negative ``--warmup-epochs``,
+``campaign --jobs`` below 1) exit 2 with a one-line message too.
 """
 
 from __future__ import annotations
@@ -203,6 +198,13 @@ def cmd_workloads(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # Negated, so that NaN is refused too.
+    if not 0 < args.epochs < float("inf"):
+        raise UsageError(f"--epochs must be finite and above 0, not {args.epochs}")
+    if not 0 <= args.warmup_epochs < float("inf"):
+        raise UsageError(
+            f"--warmup-epochs must be finite and at least 0, not {args.warmup_epochs}"
+        )
     scale = _resolve_scale(args.scale)
     args.mix = _check_workload_ref(args.mix)
     name, policy = _make_policy_checked(args.policy)
@@ -375,26 +377,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import ExploreBenchError, run_explore_bench, write_bench
-
-    scale = _resolve_scale(args.scale)
-    try:
-        document = run_explore_bench(scale, progress=print)
-    except ExploreBenchError as exc:
-        print(f"explore bench FAILED: {exc}", file=sys.stderr)
-        return 1
-    path = write_bench(document, args.out)
-    print(f"wrote {path}")
-    info = document["explore"]
-    print(
-        f"explore leverage {info['instruction_speedup']:.0f}x "
-        f"(floor {info['speedup_floor']:.0f}x) over "
-        f"{info['n_points']} points in {info['total_seconds']:.1f}s"
-    )
-    return 0
-
-
 def cmd_export(args: argparse.Namespace) -> int:
     from .metrics.export import (
         ExportError,
@@ -442,92 +424,6 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     print(report.summary())
     if args.strict:
         return 0 if report.ok else 1
-    return 0
-
-
-def cmd_analytical(args: argparse.Namespace) -> int:
-    from .analytical.validate import (
-        DEFAULT_REFERENCE,
-        TOLERANCES,
-        generate_reference,
-        load_reference,
-        validate_against_reference,
-        validation_table,
-    )
-    from .experiments.common import get_scale
-
-    reference_path = args.reference or DEFAULT_REFERENCE
-    if args.regenerate:
-        scale = _resolve_scale(args.scale)
-        generate_reference(scale, reference_path)
-        print(f"wrote {reference_path} ({scale.name} scale)")
-
-    reference = load_reference(reference_path)
-    if reference is None:
-        raise UsageError(
-            f"no reference at {reference_path}; generate one with "
-            "'repro analytical --regenerate'"
-        )
-    scale = get_scale(reference["scale"])
-    report = validate_against_reference(reference, scale)
-    if args.table:
-        print(validation_table(report, TOLERANCES))
-    print(report.summary(TOLERANCES))
-    return 0 if report.ok(TOLERANCES) else 1
-
-
-def cmd_explore(args: argparse.Namespace) -> int:
-    from .experiments import format_records
-    from .explore import (
-        OBJECTIVES,
-        SPACE_NAMES,
-        ExploreError,
-        ExploreSettings,
-        run_explore,
-    )
-
-    if args.resume:
-        directory, resume = args.resume, True
-    else:
-        if not args.out:
-            raise UsageError("explore needs --out DIR (or --resume DIR)")
-        directory, resume = args.out, False
-    scale = _resolve_scale(args.scale)
-    _check_choice("space", args.space, SPACE_NAMES)
-    _check_choice("objective", args.objective, OBJECTIVES)
-    if args.workloads:
-        from dataclasses import replace
-
-        scale = replace(scale, mixes=_check_workload_list(args.workloads))
-    try:
-        settings = ExploreSettings(
-            space=args.space,
-            eta=args.eta,
-            confirm=args.confirm,
-            objective=args.objective,
-            seed=args.seed,
-        )
-        result = run_explore(scale, directory, settings, resume=resume,
-                             progress=print)
-    except ExploreError as exc:
-        raise UsageError(str(exc)) from None
-
-    rows = [
-        {
-            "point": e.point.key(),
-            "mean_ipc": round(e.mean_ipc, 4),
-            "llc_hit_rate": round(e.llc_hit_rate, 4),
-            "lifetime_s": f"{e.lifetime_seconds:.3g}",
-        }
-        for e in result.frontier
-    ]
-    print(format_records(rows, f"Pareto frontier ({settings.objective})"))
-    print(
-        f"explore ok: {result.n_points} points, {result.n_evaluations} "
-        f"analytical evaluations, {len(result.confirmed)} confirmed, "
-        f"{result.instruction_speedup:.0f}x fewer simulated instructions "
-        "than exhaustive"
-    )
     return 0
 
 
@@ -654,34 +550,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser(
-        "bench",
-        help="run the full default design space through the explorer's "
-             "analytical screening tier and gate the simulated-instruction "
-             "speedup over exhaustive simulation at 50x",
-    )
-    p.add_argument("--scale", default=argparse.SUPPRESS,
-                   help="smoke | default | full | paper (default: env)")
-    p.add_argument("--out", default="benchmarks/results", metavar="DIR",
-                   help="directory for BENCH_explore.json")
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser(
         "export",
         help="export RunRecord artefacts (files or campaign dirs) "
              "to json/csv/jsonl, or --check committed artefacts",
     )
     p.add_argument("paths", nargs="*", metavar="PATH",
-                   help="result files, BENCH_*.json artefacts, or "
-                        "campaign directories")
+                   help="result files or campaign directories")
     p.add_argument("--format", default="json",
                    choices=EXPORT_FORMATS,
                    help="output format (default: json)")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write to FILE instead of stdout")
     p.add_argument("--check", action="store_true",
-                   help="validate committed BENCH_*.json artefacts and "
-                        "golden digests against the current schema; "
-                        "extra PATHs are checked too; exits 1 on drift")
+                   help="check that the golden digests stay readable and "
+                        "the metric registry matches its producers; extra "
+                        "PATHs are validated against the current schema; "
+                        "exits 1 on drift")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser(
@@ -690,60 +574,15 @@ def build_parser() -> argparse.ArgumentParser:
              "reports a failure taxonomy",
     )
     p.add_argument("paths", nargs="*", metavar="PATH",
-                   help="artefact files, campaign or explore directories, "
-                        "or directories of artefacts (default: the "
-                        "committed bench artefacts and golden digests)")
+                   help="artefact files, campaign directories, or "
+                        "directories of artefacts (default: the committed "
+                        "golden digests)")
     p.add_argument("--repair", action="store_true",
                    help="move corrupt artefacts to quarantine/ with a "
                         "structured reason record")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero on any corruption finding (CI gate)")
     p.set_defaults(func=cmd_doctor)
-
-    p = sub.add_parser(
-        "analytical",
-        help="validate the closed-form estimator against the committed "
-             "reference matrix (exit 1 when a mean error leaves its "
-             "documented tolerance)",
-    )
-    p.add_argument("--scale", default=argparse.SUPPRESS,
-                   help="scale for --regenerate (default: env)")
-    p.add_argument("--reference", default=None, metavar="FILE",
-                   help="reference blob (default: "
-                        "benchmarks/results/validation/REFERENCE_smoke.json)")
-    p.add_argument("--regenerate", action="store_true",
-                   help="re-simulate the validation matrix and rewrite "
-                        "the reference blob before validating")
-    p.add_argument("--table", action="store_true",
-                   help="print the per-case markdown table (the one "
-                        "committed to docs/analytical_validation.md)")
-    p.set_defaults(func=cmd_analytical)
-
-    p = sub.add_parser(
-        "explore",
-        help="successive-halving design-space sweep: analytical "
-             "screening, simulated confirmation, Pareto frontier",
-    )
-    p.add_argument("--scale", default=argparse.SUPPRESS,
-                   help="smoke | default | full | paper (default: env)")
-    p.add_argument("--out", default=None, metavar="DIR",
-                   help="exploration directory to create")
-    p.add_argument("--resume", default=None, metavar="DIR",
-                   help="existing exploration directory to resume")
-    p.add_argument("--space", default="default",
-                   help="design space: default (1008 points) | tiny (CI)")
-    p.add_argument("--workloads", default=None, metavar="REFS",
-                   help="comma-separated family:target workload refs "
-                        "replacing the scale's default mixes")
-    p.add_argument("--eta", type=int, default=4,
-                   help="successive-halving keep ratio (keep 1/eta per rung)")
-    p.add_argument("--confirm", type=int, default=16,
-                   help="survivors confirmed with real simulations")
-    p.add_argument("--objective", default="balanced",
-                   help="rung scoring: performance | lifetime | balanced")
-    p.add_argument("--seed", type=int, default=0,
-                   help="workload seed of the rung fidelity ladder")
-    p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser(
         "status",

@@ -1,7 +1,7 @@
 """Crash-consistent artifact I/O (the storage reliability floor).
 
 The reproduction is deeply stateful on disk — campaign results,
-checkpoints, manifests, BENCH artefacts — and a torn write, ENOSPC or
+checkpoints, manifests, quarantine records — and a torn write, ENOSPC or
 bit flip in any of them could silently poison a resume.  This
 package is the one place all of that state flows through:
 
@@ -33,7 +33,6 @@ from .durable import (
     BLOB_FORMAT,
     BlobError,
     atomic_write_bytes,
-    atomic_write_json,
     dump_json,
     is_blob_payload,
     read_bytes,
@@ -75,7 +74,6 @@ __all__ = [
     "StorageHealth",
     "active_injector",
     "atomic_write_bytes",
-    "atomic_write_json",
     "dump_json",
     "injected_faults",
     "is_blob_payload",

@@ -1,8 +1,7 @@
 """``repro doctor``: audit every artefact class the repo persists.
 
-One walk over campaign directories, bench artefacts, explore
-directories and golden digests, checking each file at the level its
-format allows:
+One walk over campaign directories, artefact directories and the
+golden digests, checking each file at the level its format allows:
 
 * ``repro-blob/1`` envelopes — checksum, declared length, schema tag;
 * campaign manifests — envelope plus per-task ``verify_result`` of
@@ -43,7 +42,7 @@ class Finding:
     """One defective artefact the audit surfaced."""
 
     path: str
-    category: str       # artefact class: campaign-result, bench, ...
+    category: str       # artefact class: campaign-result, campaign-error, ...
     defect: str         # taxonomy token: checksum-mismatch, truncated, ...
     detail: str         # human-readable specifics
     action: str = ACTION_NONE
@@ -111,13 +110,7 @@ def _category_for_schema(schema: Optional[str]) -> str:
         "repro-task-error/1": "campaign-error",
         "repro-campaign/1": "campaign-manifest",
         "repro-campaign-meta/1": "campaign-meta",
-        "repro-bench-artifact/1": "bench",
         "repro-quarantine/1": "quarantine-reason",
-        "repro-explore-meta/1": "explore-meta",
-        "repro-explore-rung/1": "explore-rung",
-        "repro-explore-confirm/1": "explore-confirm",
-        "repro-explore-frontier/1": "explore-frontier",
-        "repro-analytical-reference/1": "analytical-reference",
     }
     return mapping.get(schema or "", "artefact")
 
@@ -161,91 +154,6 @@ def _audit_json_file(
     except BlobError as exc:
         return [Finding(str(path), resolved, exc.defect, exc.reason)]
     return _check_run_record(payload, str(path), resolved)
-
-
-#: Marker file of an exploration directory (see repro.explore).
-EXPLORE_META_NAME = "explore.meta.json"
-
-
-def _audit_explore_file(path: Path, category: str) -> List[Finding]:
-    """Audit one explorer artefact: envelope plus every embedded record.
-
-    Rung/confirm artefacts carry one ``repro-run/1`` RunRecord per
-    (point, workload) evaluation and the frontier carries a summary
-    record; all are validated against the current metric registry so
-    ``--strict`` catches drifted explorer output, not just bit rot.
-    """
-    findings = _audit_json_file(path, category)
-    if findings:
-        return findings
-    data, finding = _load_json(path)
-    if finding is not None or not is_blob_payload(data):
-        return findings  # legacy/unenveloped: nothing deeper to check
-    try:
-        payload = unwrap_json(data, path=path)
-    except BlobError:
-        return findings  # already reported by _audit_json_file
-    if not isinstance(payload, dict):
-        return findings
-    records: List[Any] = []
-    for evaluation in payload.get("evaluations", ()):
-        if isinstance(evaluation, dict):
-            records.extend(evaluation.get("records", ()))
-    if payload.get("summary_record") is not None:
-        records.append(payload["summary_record"])
-    for index, record in enumerate(records):
-        findings.extend(
-            _check_run_record(record, f"{path}#records[{index}]", category)
-        )
-    return findings
-
-
-def _audit_explore(directory: Path, report: DoctorReport) -> List[Finding]:
-    """Audit an exploration directory (meta + rungs + confirm + frontier).
-
-    A killed exploration legitimately stops after any durable write —
-    missing *later* stages are resumable state, not corruption.  What
-    is flagged as an error: a rung present without its predecessor, or
-    a frontier without the confirm tier it summarises (a lost
-    checkpoint the resume path cannot reconstruct silently).
-    """
-    findings: List[Finding] = []
-    meta_path = directory / EXPLORE_META_NAME
-    report.checked.append(str(meta_path))
-    findings.extend(_audit_json_file(meta_path, "explore-meta"))
-
-    rung_indices = set()
-    for path in sorted(directory.glob("rung_*.json")):
-        report.checked.append(str(path))
-        findings.extend(_audit_explore_file(path, "explore-rung"))
-        suffix = path.stem.rpartition("_")[2]
-        if suffix.isdigit():
-            rung_indices.add(int(suffix))
-    for index in sorted(rung_indices):
-        if index > 0 and index - 1 not in rung_indices:
-            missing = directory / f"rung_{index - 1}.json"
-            findings.append(Finding(
-                str(missing), "explore-rung", "missing-artefact",
-                f"rung_{index}.json exists but its predecessor is gone "
-                "(lost checkpoint; resume would recompute silently)",
-            ))
-
-    confirm = directory / "confirm.json"
-    if confirm.exists():
-        report.checked.append(str(confirm))
-        findings.extend(_audit_explore_file(confirm, "explore-confirm"))
-
-    frontier = directory / "frontier.json"
-    if frontier.exists():
-        report.checked.append(str(frontier))
-        findings.extend(_audit_explore_file(frontier, "explore-frontier"))
-        if not confirm.exists():
-            findings.append(Finding(
-                str(confirm), "explore-confirm", "missing-artefact",
-                "frontier.json exists without the confirm.json it "
-                "summarises",
-            ))
-    return findings
 
 
 # ----------------------------------------------------------------------
@@ -342,8 +250,6 @@ def _audit_path(path: Path, report: DoctorReport) -> List[Finding]:
     if path.is_dir():
         if (path / MANIFEST_NAME).exists():
             return _audit_campaign(path, report)
-        if (path / EXPLORE_META_NAME).exists():
-            return _audit_explore(path, report)
         return _audit_artefact_dir(path, report)
     if not path.exists():
         return [Finding(str(path), "artefact", "unreadable", "no such file")]
@@ -352,15 +258,11 @@ def _audit_path(path: Path, report: DoctorReport) -> List[Finding]:
 
 
 def default_targets(repo_root: PathLike = ".") -> List[Path]:
-    """What a bare ``repro doctor`` audits: the committed artefacts."""
-    from ..metrics.export import CHECKED_BENCH_GLOB, CHECKED_GOLDENS
+    """What a bare ``repro doctor`` audits: the committed goldens."""
+    from ..metrics.export import CHECKED_GOLDENS
 
-    root = Path(repo_root)
-    targets = sorted(root.glob(CHECKED_BENCH_GLOB))
-    goldens = root / CHECKED_GOLDENS
-    if goldens.exists():
-        targets.append(goldens)
-    return targets
+    goldens = Path(repo_root) / CHECKED_GOLDENS
+    return [goldens] if goldens.exists() else []
 
 
 def run_doctor(

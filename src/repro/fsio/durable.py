@@ -178,11 +178,6 @@ def dump_json(obj: Any) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
-def atomic_write_json(path: PathLike, obj: Any) -> str:
-    """Atomically write canonical JSON; return the file's SHA-256."""
-    return atomic_write_bytes(path, dump_json(obj))
-
-
 def read_bytes(path: PathLike) -> bytes:
     """Read a file's bytes through the fault-injection point.
 
@@ -273,8 +268,3 @@ def unwrap_json(
             "checksum-mismatch",
         )
     return payload
-
-
-def write_blob_json(path: PathLike, payload: Any, schema: str) -> str:
-    """Atomically write an envelope-wrapped JSON artefact."""
-    return atomic_write_json(path, wrap_json(payload, schema))

@@ -41,7 +41,7 @@ def quarantine_file(
     """Move ``path`` into ``root/quarantine/`` with a reason record.
 
     ``category`` is the artefact class (``campaign-result``,
-    ``campaign-manifest``, ``bench``, ...) and ``reason`` the
+    ``campaign-manifest``, ``campaign-error``, ...) and ``reason`` the
     human-readable defect.  ``root`` defaults to the artefact's own
     directory.  Returns the quarantined path, or ``None`` if the
     artefact was already gone or could not be moved.

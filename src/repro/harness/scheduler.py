@@ -184,6 +184,12 @@ class CampaignRunner:
     ):
         self.directory = Path(directory)
         self.settings = settings or CampaignSettings()
+        if self.settings.jobs < 1:
+            # The pool spawns a worker only while it has fewer than
+            # ``jobs``, so with none it would wait forever.
+            raise CampaignConfigError(
+                f"jobs must be at least 1, got {self.settings.jobs}"
+            )
         self.progress = progress or (lambda message: None)
         self.stop_after = stop_after
         self._ctx = multiprocessing.get_context(_default_start_method())

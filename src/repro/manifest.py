@@ -4,9 +4,8 @@ This module is the *single* home of identity rendering: checksummed
 envelopes (:mod:`repro.fsio.durable`), the exporters and the snapshot
 key take :func:`canonical_json` from here, campaign manifests
 (:mod:`repro.harness.manifest`) stamp :func:`library_info`, and
-``run_one`` and the analytical estimator stamp :func:`describe_policy`
-/ :func:`describe_workload` into RunRecord meta, instead of each
-re-deriving field lists.
+``run_one`` stamps :func:`describe_policy` / :func:`describe_workload`
+into RunRecord meta, instead of each caller re-deriving field lists.
 """
 
 from __future__ import annotations

@@ -9,11 +9,11 @@ Everything behind ``python -m repro export``:
   from the scheduler state the campaign manifest records) and one
   ``epoch`` line per recorded epoch.
 
-``check_artifacts`` is the CI leg (``repro export --check``): every
-committed ``BENCH_*.json`` must validate against the *current* schema
-version and registry, and the golden digests must stay readable JSON,
-so a metric rename or schema bump can never silently orphan committed
-artefacts.
+``check_artifacts`` is the CI leg (``repro export --check``): the
+golden digests must stay readable JSON, every registered layer must
+still match its producing dataclass, and any extra artefact named must
+validate against the *current* schema version and registry, so a
+metric rename or schema bump can never silently orphan an artefact.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ PathLike = Union[str, Path]
 
 EXPORT_FORMATS: Tuple[str, ...] = ("json", "csv", "jsonl")
 
-#: Committed artefacts ``--check`` validates (repo-root relative).
-CHECKED_BENCH_GLOB = "benchmarks/results/BENCH_*.json"
+#: Committed artefact ``--check`` validates (repo-root relative).
 CHECKED_GOLDENS = "tests/goldens/determinism.json"
 
 
@@ -47,13 +46,11 @@ def _ensure_registrations() -> None:
 
     Validation of a detached record checks its metric names against the
     registry, and some registrations live in modules ``import repro``
-    does not reach (experiment units, the explorer).  Loading is
+    does not reach (experiment units, the campaign harness).  Loading is
     the one place that must see the full registry, so it imports them.
     """
-    from ..analytical import model as _analytical  # noqa: F401
     from ..experiments import compressibility as _fig2  # noqa: F401
     from ..experiments import lifetime as _lifetime  # noqa: F401
-    from ..explore import explorer as _explorer  # noqa: F401
     from ..fsio import health as _storage_health  # noqa: F401
     from ..harness import scheduler as _scheduler  # noqa: F401
 
@@ -73,9 +70,9 @@ def _records_from_file(path: Path) -> List[RunRecord]:
     except (OSError, ValueError) as exc:
         raise ExportError(f"{path}: unreadable ({exc})") from None
     try:
-        # Checksummed repro-blob/1 envelopes (bench artefacts, campaign
-        # results) unwrap to their payload; pre-envelope files pass
-        # through untouched.
+        # Checksummed repro-blob/1 envelopes (campaign results, the
+        # health record) unwrap to their payload; pre-envelope files
+        # pass through untouched.
         data = unwrap_json(data, path=path)
     except BlobError as exc:
         raise ExportError(f"{path}: corrupt envelope ({exc.reason})") from None
@@ -250,29 +247,12 @@ def check_artifacts(
     checked: List[str] = []
     errors: List[str] = []
 
-    bench_paths = sorted(root.glob(CHECKED_BENCH_GLOB))
-    if not bench_paths:
-        errors.append(f"no committed artefacts match {CHECKED_BENCH_GLOB}")
-    for path in list(bench_paths) + [Path(p) for p in extra_paths]:
+    for path in map(Path, extra_paths):
         checked.append(str(path))
         try:
-            records = _records_from_file(path)
+            _records_from_file(path)
         except ExportError as exc:
             errors.append(str(exc))
-            continue
-        for record in records:
-            if record.kind == "bench":
-                # The explorer bench carries its ``explore`` section in
-                # a schema-tagged document.
-                document = record.values.get("document")
-                if (
-                    not isinstance(document, dict)
-                    or "schema" not in document
-                    or "explore" not in document
-                ):
-                    errors.append(
-                        f"{path}: bench record has no explore document"
-                    )
 
     goldens_path = root / CHECKED_GOLDENS
     checked.append(str(goldens_path))

@@ -1,7 +1,7 @@
 """The versioned RunRecord: one result shape from engine to report.
 
 Every producing layer — ``run_one``, the campaign unit runners, the
-bench runner — returns a :class:`RunRecord`; every consuming layer —
+campaign scheduler — returns a :class:`RunRecord`; every consuming layer —
 exporters, ``repro doctor``, analysis, reports — reads one.  The
 record is deliberately small:
 
@@ -10,7 +10,8 @@ record is deliberately small:
     schema change can never silently serve old-shape payloads.
 ``kind``
     What produced the record: ``simulation``, ``table``, ``unit``,
-    ``forecast``, ``bench`` — free-form but stable per producer.
+    ``forecast``, ``campaign-health`` — free-form but stable per
+    producer.
 ``meta``
     JSON-able provenance (policy/workload identity from
     :mod:`repro.manifest`, experiment/unit/scale labels, ...).

@@ -6,7 +6,7 @@ needed a workload.  This module makes the family explicit: a
 :class:`WorkloadFamily` names a set of *targets* (mixes, scenarios),
 describes each one as a :class:`TargetSpec`, and builds a
 ready-to-simulate :class:`~repro.engine.Workload` on demand.
-Everything downstream — campaign units, the analytical estimator,
+Everything downstream — campaign units, ``repro simulate``,
 ``repro export`` — works per family without knowing any family's
 internals.
 
@@ -29,8 +29,8 @@ Registered families:
 
 Adding a family is subclassing :class:`WorkloadFamily`, supplying
 :meth:`~WorkloadFamily.targets` and :meth:`~WorkloadFamily._profiles`,
-and calling :func:`register_family`; campaigns and exploration
-inherit it with no further wiring.
+and calling :func:`register_family`; campaigns inherit it with no
+further wiring.
 """
 
 from __future__ import annotations

@@ -1,10 +1,17 @@
 """Tests for the command-line interface."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import _policy_args, build_parser, main
+
+SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 
 def test_policy_spec_parsing():
@@ -123,3 +130,31 @@ def test_campaign_bad_chaos_spec(tmp_path, capsys):
     )
     assert rc == 2
     assert "chaos" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["campaign", "--scale", "smoke", "--experiments", "tables",
+         "--jobs", "0", "--out", "c"],
+        ["campaign", "--scale", "smoke", "--experiments", "tables",
+         "--jobs", "-2", "--out", "c"],
+        ["--scale", "smoke", "simulate", "--policy", "bh", "--epochs", "0"],
+        ["--scale", "smoke", "simulate", "--policy", "bh",
+         "--warmup-epochs", "-1", "--epochs", "0.1"],
+    ],
+    ids=["campaign-jobs-0", "campaign-jobs-minus-2", "simulate-epochs-0",
+         "simulate-warmup-minus-1"],
+)
+def test_impossible_run_settings_are_usage_errors(argv, tmp_path):
+    # A separate process, so that a command that never returns fails
+    # the test at the timeout instead of hanging the suite.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("repro: ") and "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []  # no campaign directory

@@ -3,14 +3,12 @@
 Each checked row of the per-experiment index is read number by number,
 in order, from its measured and verdict cells, and compared with the
 values read or derived from ``benchmarks/results/default/*.txt`` at the
-precision the prose prints them; the explorer paragraph is checked the
-same way against ``benchmarks/results/BENCH_explore.json``.  The shape
-claims the cells make (a peak, an ordering, a flat line) are asserted
-on the artefacts too, so neither the prose nor the verdicts can drift
-from the committed numbers.
+precision the prose prints them.  The shape claims the cells make (a
+peak, an ordering, a flat line) are asserted on the artefacts too, so
+neither the prose nor the verdicts can drift from the committed
+numbers.
 """
 
-import json
 import re
 from pathlib import Path
 
@@ -132,21 +130,4 @@ def test_fig11a_row():
         quoted("Fig. 11a"),
         [t["bh"]["life_mo_128k"],
          *(life(p) for p in ("bh_cp", "cp_sd", "cp_sd_th8", "lhybrid"))],
-    )
-
-
-def test_explorer_paragraph():
-    envelope = json.loads((RESULTS / "BENCH_explore.json").read_text())
-    explore = envelope["payload"]["values"]["document"]["explore"]
-    frontier = explore["frontier"]
-    assert all(key.startswith(("lhybrid(", "tap(")) for key in frontier)
-    paragraph = next(
-        block for block in DOC.split("\n\n")
-        if block.startswith("Measured on the committed sweep")
-    )
-    assert_quotes(
-        numbers(paragraph),
-        [explore["confirmed"], explore["n_points"],
-         explore["instruction_speedup"], explore["speedup_floor"],
-         len(frontier)],
     )

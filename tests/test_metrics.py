@@ -228,9 +228,7 @@ def test_exporters_render_the_collected_values(sim_record):
 def test_check_artifacts_passes_on_committed_tree():
     checked, errors = check_artifacts(repo_root=REPO_ROOT)
     assert errors == []
-    assert any("BENCH_explore" in c for c in checked)
-    assert not any("BENCH_engine" in c for c in checked)
-    assert any("determinism.json" in c for c in checked)
+    assert checked == [str(REPO_ROOT / "tests" / "goldens" / "determinism.json")]
 
 
 def test_check_artifacts_flags_drifted_extra_file(tmp_path):
@@ -240,27 +238,3 @@ def test_check_artifacts_flags_drifted_extra_file(tmp_path):
     path.write_text(json.dumps(stale))
     _, errors = check_artifacts(repo_root=REPO_ROOT, extra_paths=[path])
     assert any("stale.json" in e for e in errors)
-
-
-def test_check_artifacts_flags_bench_record_without_memo_or_explore(tmp_path):
-    from repro.bench import BENCH_SCHEMA, write_bench
-
-    # An engine-rate matrix document (per-case rates and nothing else)
-    # and a memo bench document: neither carries an explore section.
-    engine = write_bench({
-        "schema": BENCH_SCHEMA,
-        "label": "engine",
-        "cases": [{"policy": "bh", "mix": "mix1", "mcycles_per_s": 1.0}],
-    }, tmp_path)
-    memo = write_bench({
-        "schema": BENCH_SCHEMA,
-        "label": "memo",
-        "memo": {"campaign": {"units": 14, "verified_identical": True}},
-    }, tmp_path)
-    _, errors = check_artifacts(
-        repo_root=REPO_ROOT, extra_paths=[engine, memo]
-    )
-    assert [e for e in errors if str(tmp_path) in e] == [
-        f"{engine}: bench record has no explore document",
-        f"{memo}: bench record has no explore document",
-    ]
