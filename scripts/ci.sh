@@ -178,67 +178,11 @@ if [[ "$RUN_DURABILITY" == 1 ]]; then
 fi
 
 if [[ "$RUN_WORKLOADS" == 1 ]]; then
-  echo "== ci: workload registry completeness + golden byte-identity =="
-  # Two gates.  (1) Registry byte-identity: the golden window built
-  # *through the registry* must reproduce the committed pre-registry
-  # digests — the proof that the synthetic family is the old
-  # construction, not a re-implementation of it.
-  # (2) Registry completeness: every registered family's first target
-  # must describe itself, build at a tiny scale, and run one short
-  # simulation to a schema-valid RunRecord stamped with its family.
-  python - <<'PY'
-import json, sys
-from repro.bench.golden import compute_golden_digests
-
-committed = json.load(open("tests/goldens/determinism.json"))
-computed = compute_golden_digests(via_registry=True)
-failures = [(policy, digest) for policy, digest in computed.items()
-            if committed.get(policy) != digest]
-if failures:
-    for policy, digest in failures:
-        print(f"FAIL: registry/{policy} computed {digest}", file=sys.stderr)
-    sys.exit(1)
-print(f"registry: {len(computed)} golden digests match")
-PY
-  python - <<'PY'
-from dataclasses import replace
-
-from repro.core import make_policy
-from repro.engine import Simulation
-from repro.experiments.common import SMOKE
-from repro.manifest import describe_workload
-from repro.metrics import RunRecord
-from repro.workloads.registry import build_workload, family_names, get_family
-
-tiny = replace(SMOKE, trace_records_per_core=3_000)
-config = tiny.system()
-epoch = config.dueling.epoch_cycles
-for name in family_names():
-    family = get_family(name)
-    targets = family.targets()
-    assert targets, f"family {name!r} registered no targets"
-    target = targets[0]
-    spec = family.target_spec(target)
-    workload = build_workload(spec.ref, scale=tiny)
-    assert workload.family == name, (name, workload.family)
-    policy = make_policy("bh")
-    sim = Simulation(config, policy, workload)
-    result = sim.run(cycles=epoch, warmup_cycles=epoch * 0.25)
-    record = RunRecord.from_simulation(
-        result,
-        meta={"workload": describe_workload(workload)},
-        policy=policy,
-    )
-    record.validate()
-    payload = record.to_json()
-    meta = RunRecord.from_json(payload).meta["workload"]  # schema round-trip
-    assert meta.get("family") == name, meta
-    print(f"family {name}: {spec.ref} built, simulated, "
-          f"RunRecord family stamp ok")
-PY
-  # ... and the CLI surface end to end for a non-default family:
-  # list -> simulate -> campaign (one experiment) -> export.
-  python -m repro workloads --family datacenter | grep -q "datacenter:kv_read"
+  echo "== ci: a datacenter workload end to end through the CLI =="
+  # list -> simulate -> campaign (one experiment) -> export -> audit.
+  # Every table entry's build, run and provenance stamp is a tier-1
+  # test (tests/test_workload_registry.py).
+  python -m repro workloads | grep -q "datacenter:kv_read"
   python -m repro --scale smoke simulate \
     --mix datacenter:kv_read --policy bh --epochs 1 --warmup-epochs 0.5
   python -m repro --scale smoke campaign \

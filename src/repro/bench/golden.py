@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from typing import Dict, Sequence
 
 from ..core import make_policy
-from ..engine import Simulation, SimulationResult, Workload
+from ..engine import Simulation, SimulationResult
 from ..experiments.common import SMOKE
-from ..workloads.mixes import mix_profiles
 
 #: The golden window: small enough for tier-1 CI, large enough to
 #: cross epoch boundaries, warm-up reset and every insertion path.
@@ -78,44 +78,23 @@ def simulation_digest(result: SimulationResult) -> str:
     return hashlib.sha256(canonical.encode("ascii")).hexdigest()
 
 
-def _golden_workload(via_registry: bool = False) -> Workload:
-    """The golden window's workload, built directly or via the registry.
-
-    The two paths must agree byte-for-byte: ``via_registry=True`` is
-    the ci.sh workloads-leg gate proving the registry's ``synthetic``
-    family resolves to exactly the pre-registry construction.
-    """
-    if via_registry:
-        from dataclasses import replace
-
-        from ..workloads.registry import build_workload
-
-        golden_scale = replace(
-            SMOKE,
-            factor=GOLDEN_SCALE_FACTOR,
-            trace_records_per_core=GOLDEN_RECORDS_PER_CORE,
-        )
-        return build_workload(GOLDEN_MIX, scale=golden_scale, seed=GOLDEN_SEED)
-    profiles = [p.scaled(GOLDEN_SCALE_FACTOR) for p in mix_profiles(GOLDEN_MIX)]
-    return Workload(
-        profiles,
-        seed=GOLDEN_SEED,
-        trace_records_per_core=GOLDEN_RECORDS_PER_CORE,
-    )
-
-
-def compute_golden_digests(via_registry: bool = False) -> Dict[str, str]:
+def compute_golden_digests() -> Dict[str, str]:
     """Digest of the golden window under each golden policy.
 
-    ``via_registry`` resolves the golden workload through the workload
-    registry instead of constructing it directly; the digests must
-    again be identical (the registry byte-identity gate).
+    The window's workload is built once, through
+    :meth:`~repro.experiments.common.ExperimentScale.workload` like
+    every other run's, and replayed by each policy.
     """
+    scale = replace(
+        SMOKE,
+        factor=GOLDEN_SCALE_FACTOR,
+        trace_records_per_core=GOLDEN_RECORDS_PER_CORE,
+    )
+    workload = scale.workload(GOLDEN_MIX, seed=GOLDEN_SEED)
     config = SMOKE.system()
     epoch = config.dueling.epoch_cycles
     digests: Dict[str, str] = {}
     for policy_name in GOLDEN_POLICIES:
-        workload = _golden_workload(via_registry=via_registry)
         sim = Simulation(config, make_policy(policy_name), workload)
         result = sim.run(
             cycles=epoch * (GOLDEN_WARMUP_EPOCHS + GOLDEN_EPOCHS),

@@ -2,10 +2,10 @@
 
 Commands
 --------
-``list``      — registered policies, mixes, applications, scales
-``workloads`` — workload families/targets with metadata
-``simulate``  — run one mix under one policy, print the statistics
-``forecast``  — lifetime forecast for one or more policies on a mix
+``list``      — registered policies, workloads, applications, scales
+``workloads`` — the named workloads with metadata
+``simulate``  — run one workload under one policy, print the statistics
+``forecast``  — lifetime forecast for one or more policies on a workload
 ``figure``    — regenerate one of the paper's tables/figures
 ``ablation``  — run one of the design-choice ablations
 ``campaign``  — fault-tolerant multi-experiment run with resume
@@ -16,7 +16,7 @@ Commands
 ``status``    — task summary and last-run counters of a campaign
                 directory
 
-Unknown mix/policy/scale/experiment names exit with code 2 and a
+Unknown workload/policy/scale/experiment names exit with code 2 and a
 one-line "did you mean" suggestion instead of a traceback; impossible
 settings (a non-positive ``--epochs``, a negative ``--warmup-epochs``,
 ``campaign --jobs`` below 1) exit 2 with a one-line message too.
@@ -56,7 +56,7 @@ from .experiments import (
 )
 from .forecast import SECONDS_PER_MONTH
 from .metrics.export import EXPORT_FORMATS
-from .workloads.mixes import MIX_NAMES
+from .workloads.mixes import WORKLOADS, WorkloadRefError, workload_profiles
 from .workloads.profiles import APP_NAMES
 
 
@@ -117,31 +117,19 @@ def _make_policy_checked(spec: str):
 
 
 def _check_workload_ref(value: str) -> str:
-    """Validate a workload reference; returns the normalized form.
+    """Validate a workload reference (a key of the workload table).
 
-    Accepts bare mix names (``mix1``) and ``family:target`` refs;
-    unknown references exit 2 with a did-you-mean suggestion drawn
-    from the registry, matching every other CLI choice error.
+    Unknown references exit 2 with a did-you-mean suggestion, matching
+    every other CLI choice error.
     """
-    from .workloads.registry import (
-        DEFAULT_FAMILY,
-        WorkloadRefError,
-        normalize_workload_ref,
-        workload_refs,
-    )
-
     try:
-        return normalize_workload_ref(value)
+        workload_profiles(value)
     except WorkloadRefError as exc:
-        prefix = DEFAULT_FAMILY + ":"
-        choices = [
-            ref[len(prefix):] if ref.startswith(prefix) else ref
-            for ref in (exc.choices or workload_refs())
-        ]
         raise UsageError(
-            f"unknown workload {value!r}{_did_you_mean(value, choices)} "
+            f"unknown workload {value!r}{_did_you_mean(value, exc.choices)} "
             "(list with: repro workloads)"
         ) from None
+    return value
 
 
 def _check_workload_list(spec: str) -> tuple:
@@ -157,11 +145,8 @@ def _check_workload_list(spec: str) -> tuple:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    from .workloads.registry import family_names
-
     print("policies   :", ", ".join(registered_policies()))
-    print("mixes      :", ", ".join(MIX_NAMES))
-    print("families   :", ", ".join(family_names()), " (repro workloads)")
+    print("workloads  :", ", ".join(WORKLOADS), " (repro workloads)")
     print("apps       :", ", ".join(APP_NAMES))
     print("scales     :", ", ".join(SCALE_NAMES), " (env REPRO_SCALE)")
     print("experiments:", ", ".join(EXPERIMENT_NAMES), " (campaign)")
@@ -169,31 +154,21 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_workloads(args: argparse.Namespace) -> int:
-    from .workloads.registry import family_names, get_family
-
-    names = family_names()
-    if args.family:
-        _check_choice("family", args.family, names)
-        names = (args.family,)
     rows = []
-    for family_name in names:
-        family = get_family(family_name)
-        print(f"{family_name}: {family.description}")
-        for target in family.targets():
-            spec = family.target_spec(target)
-            rows.append(
-                {
-                    "workload": spec.ref,
-                    "cores": spec.cores,
-                    "footprint_blocks": spec.footprint_blocks,
-                    "hcr": f"{spec.hcr_fraction:.2f}",
-                    "lcr": f"{spec.lcr_fraction:.2f}",
-                    "incomp": f"{spec.incompressible_fraction:.2f}",
-                    "description": spec.description,
-                }
-            )
-    print()
-    print(format_records(rows, "workload targets"))
+    for ref, (description, profiles) in WORKLOADS.items():
+        n = len(profiles)
+        rows.append(
+            {
+                "workload": ref,
+                "cores": n,
+                "footprint_blocks": sum(p.footprint_blocks for p in profiles),
+                "hcr": f"{sum(p.hcr_fraction for p in profiles) / n:.2f}",
+                "lcr": f"{sum(p.lcr_fraction for p in profiles) / n:.2f}",
+                "incomp": f"{sum(p.incompressible_fraction for p in profiles) / n:.2f}",
+                "description": description,
+            }
+        )
+    print(format_records(rows, "named workloads"))
     return 0
 
 
@@ -316,7 +291,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     chaos = None
     if args.chaos:
         try:
-            chaos = parse_chaos_spec(args.chaos, seed=args.seed)
+            chaos = parse_chaos_spec(args.chaos)
         except ChaosSpecError as exc:
             raise UsageError(str(exc)) from None
 
@@ -431,7 +406,7 @@ def cmd_status(args: argparse.Namespace) -> int:
     import json as _json
     from pathlib import Path
 
-    from .fsio.durable import read_bytes, unwrap_json
+    from .fsio.durable import unwrap_json
     from .harness import CampaignConfigError
     from .harness.manifest import CampaignManifest
     from .harness.scheduler import HEALTH_RECORD_NAME
@@ -455,7 +430,7 @@ def cmd_status(args: argparse.Namespace) -> int:
     health_path = Path(path) / HEALTH_RECORD_NAME
     if health_path.exists():
         record = unwrap_json(
-            _json.loads(read_bytes(health_path).decode("utf-8")),
+            _json.loads(health_path.read_bytes().decode("utf-8")),
             path=health_path,
         )
         metrics = record.get("metrics", {})
@@ -480,21 +455,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="smoke | default | full | paper (default: env)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list policies, mixes, apps").set_defaults(
+    sub.add_parser("list", help="list policies, workloads, apps").set_defaults(
         func=cmd_list
     )
 
-    p = sub.add_parser(
-        "workloads",
-        help="list workload families/targets with metadata",
-    )
-    p.add_argument("--family", default=None,
-                   help="only list this family's targets")
-    p.set_defaults(func=cmd_workloads)
+    sub.add_parser(
+        "workloads", help="list the named workloads with metadata"
+    ).set_defaults(func=cmd_workloads)
 
-    p = sub.add_parser("simulate", help="run one mix under one policy")
+    p = sub.add_parser("simulate", help="run one workload under one policy")
     p.add_argument("--mix", default="mix1",
-                   help="mix name or family:target workload ref "
+                   help="workload reference, e.g. mix1 or datacenter:kv_read "
                         "(see: repro workloads)")
     p.add_argument("--policy", default="cp_sd",
                    help="name or name:key=val (e.g. ca_rwr:cpth=37)")
@@ -505,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forecast", help="lifetime forecast for policies")
     p.add_argument("--mix", default="mix1",
-                   help="mix name or family:target workload ref")
+                   help="workload reference (see: repro workloads)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("policies", nargs="+",
                    help="e.g. bh lhybrid cp_sd cp_sd_th:th=8")
@@ -532,9 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiments", default=",".join(EXPERIMENT_NAMES),
                    help=f"comma-separated subset of {EXPERIMENT_NAMES}")
     p.add_argument("--workloads", default=None, metavar="REFS",
-                   help="comma-separated family:target workload refs "
-                        "replacing the scale's default mixes (recorded in "
-                        "the manifest; --resume reuses them)")
+                   help="comma-separated workload references replacing "
+                        "the scale's default mixes (recorded in the "
+                        "manifest; --resume reuses them)")
     p.add_argument("--jobs", type=int, default=None,
                    help="parallel worker processes")
     p.add_argument("--timeout", type=float, default=600.0,
@@ -543,10 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="retry budget per task")
     p.add_argument("--backoff", type=float, default=1.0,
                    help="base of the exponential retry backoff, seconds")
-    p.add_argument("--seed", type=int, default=0,
-                   help="chaos injection seed")
     p.add_argument("--chaos", default=None, metavar="SPEC",
-                   help="inject faults, e.g. p=0.3,kinds=crash,timeout,corrupt")
+                   help="inject faults, e.g. p=0.3,kinds=crash,timeout,corrupt"
+                        "[,seed=7]")
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser(

@@ -48,10 +48,11 @@ class Workload:
             raise ValueError("need at least one profile")
         self.profiles = list(profiles)
         self.seed = seed
-        #: Workload-registry provenance: the family that produced this
-        #: workload and (when built through the registry) its target.
-        #: Stamped into RunRecord meta via ``describe_workload``; never
-        #: part of simulation digests.
+        #: Provenance: the family and target of the workload reference
+        #: this was built from (``ExperimentScale.workload`` derives
+        #: both from the reference; a direct construction names no
+        #: target).  Stamped into RunRecord meta via
+        #: ``describe_workload``; never part of simulation digests.
         self.family = family
         self.target = target
         self.data_model = DataModel(self.profiles, seed=seed)

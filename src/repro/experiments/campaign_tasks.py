@@ -130,7 +130,7 @@ def run_campaign_task(experiment: str, unit: Mapping, scale_name: str) -> dict:
     results and the exporters share the one versioned record shape.
     """
     from ..metrics import RunRecord
-    from ..workloads.registry import WorkloadRefError, parse_workload_ref
+    from ..workloads.mixes import workload_provenance
     from .common import get_scale
 
     scale = get_scale(scale_name)
@@ -139,15 +139,11 @@ def run_campaign_task(experiment: str, unit: Mapping, scale_name: str) -> dict:
         record.meta.setdefault("scale", scale.name)
         ref = dict(unit).get("mix")
         if isinstance(ref, str):
-            # Stamp the producing workload family so `repro export`
-            # can report it even for units whose runner predates the
-            # registry.
-            try:
-                family, target = parse_workload_ref(ref)
-            except WorkloadRefError:
-                pass
-            else:
-                record.meta.setdefault("workload_family", family)
-                record.meta.setdefault("workload_target", target)
+            # Stamp the unit's workload provenance, derived from its
+            # reference, so `repro export` can report it for every
+            # unit whatever its runner records.
+            family, target = workload_provenance(ref)
+            record.meta.setdefault("workload_family", family)
+            record.meta.setdefault("workload_target", target)
         return record.to_json()
     return record

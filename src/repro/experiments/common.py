@@ -27,7 +27,8 @@ from ..config import (
     SystemConfig,
 )
 from ..engine import Workload
-from ..workloads.mixes import MIX_NAMES
+from ..workloads.cache import SHARED_WORKLOAD_CACHE
+from ..workloads.mixes import MIX_NAMES, workload_profiles, workload_provenance
 
 #: Full-size (paper) reference dimensions.
 PAPER_N_SETS = 8192
@@ -45,7 +46,7 @@ class ExperimentScale:
     phase_epochs: int             # measured epochs per simulation phase
     warmup_epochs: float          # epochs of warm-up before measuring
     trace_records_per_core: int
-    mixes: Tuple[str, ...]        # which Table V mixes to run
+    mixes: Tuple[str, ...]        # which workloads to run (references)
     forecast_max_steps: int       # simulation/prediction alternations
 
     @property
@@ -94,20 +95,28 @@ class ExperimentScale:
             cfg = cfg.with_nvm_latency_factor(nvm_latency_factor)
         return cfg
 
-    def workload(self, mix_name: str, seed: int = 0) -> Workload:
-        """Build the workload a reference names, scaled to match.
+    def workload(self, ref: str, seed: int = 0) -> Workload:
+        """Build the named workload ``ref``, scaled to match.
 
-        ``mix_name`` is a workload reference — a bare Table V mix name
-        (``"mix1"``) or any registered ``family:target``
-        (``"datacenter:kv_read"``).  The registry routes every family
+        ``ref`` is a key of :data:`~repro.workloads.mixes.WORKLOADS`:
+        a Table V mix name (``"mix1"``) or a datacenter mix
+        (``"datacenter:kv_read"``); any other raises
+        :class:`~repro.workloads.mixes.WorkloadRefError`.  Builds go
         through the process-wide
         :class:`~repro.workloads.cache.WorkloadCache`: sweeps that
-        revisit the same (target, seed, scale) share one built
+        revisit the same (reference, seed, scale) share one built
         workload instead of regenerating identical traces per policy.
         """
-        from ..workloads.registry import build_workload
-
-        return build_workload(mix_name, scale=self, seed=seed)
+        profiles = [p.scaled(self.factor) for p in workload_profiles(ref)]
+        records = self.trace_records_per_core
+        family, target = workload_provenance(ref)
+        return SHARED_WORKLOAD_CACHE.get(
+            ref, profiles, seed, records,
+            lambda: Workload(
+                profiles, seed=seed, trace_records_per_core=records,
+                family=family, target=target,
+            ),
+        )
 
 
 SMOKE = ExperimentScale(

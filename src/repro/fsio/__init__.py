@@ -9,11 +9,10 @@ package is the one place all of that state flows through:
   parent-dir fsync) and the checksummed ``repro-blob/1`` envelope
   (schema tag + payload length + payload SHA-256) every persisted
   artefact is wrapped in;
-* :mod:`~repro.fsio.faults` — a deterministic filesystem fault
-  injector in the style of :mod:`repro.harness.chaos` (a pure function
-  of ``(seed, path, op, attempt)``) that tears writes, shortens reads,
-  and raises ENOSPC/EIO *behind* the fsio API, so every recovery path
-  is testable;
+* :mod:`~repro.fsio.faults` — one-shot disk-write faults (a torn
+  write, ENOSPC, a payload bit flip) fired *behind* the fsio API, so
+  every recovery path is testable; ``--chaos`` workers arm one from
+  the task-level chaos digest (:mod:`repro.harness.chaos`);
 * :mod:`~repro.fsio.quarantine` — graceful degradation: detected
   corruption moves the entry into a ``quarantine/`` subdirectory with
   a structured reason record and the owning layer degrades (a corrupt
@@ -35,23 +34,15 @@ from .durable import (
     atomic_write_bytes,
     dump_json,
     is_blob_payload,
-    read_bytes,
     unwrap_json,
     wrap_json,
 )
 from .faults import (
     DISK_CHAOS_KINDS,
-    DISK_EIO,
     DISK_ENOSPC,
-    DISK_FAULT_KINDS,
     DISK_FLIP,
-    DISK_SHORT_READ,
     DISK_TORN,
-    DiskFaultConfig,
-    FaultInjector,
     OneShotFault,
-    active_injector,
-    injected_faults,
 )
 from .health import HEALTH, StorageHealth
 from .quarantine import QUARANTINE_DIRNAME, quarantine_file
@@ -60,25 +51,17 @@ __all__ = [
     "BLOB_FORMAT",
     "BlobError",
     "DISK_CHAOS_KINDS",
-    "DISK_EIO",
     "DISK_ENOSPC",
-    "DISK_FAULT_KINDS",
     "DISK_FLIP",
-    "DISK_SHORT_READ",
     "DISK_TORN",
-    "DiskFaultConfig",
-    "FaultInjector",
     "HEALTH",
     "OneShotFault",
     "QUARANTINE_DIRNAME",
     "StorageHealth",
-    "active_injector",
     "atomic_write_bytes",
     "dump_json",
-    "injected_faults",
     "is_blob_payload",
     "quarantine_file",
-    "read_bytes",
     "unwrap_json",
     "wrap_json",
 ]

@@ -25,7 +25,7 @@ The reader accepts **legacy passthrough**: a document that is not an
 envelope is returned unchanged, so artefacts committed before this
 layer existed keep loading.
 
-All reads and writes consult the active fault injector
+Every write consults the armed disk faults
 (:mod:`~repro.fsio.faults`), which is how ``--chaos`` disk kinds and
 the crash-consistency tests reach inside this API.
 """
@@ -131,12 +131,12 @@ def atomic_write_bytes(path: PathLike, data: bytes) -> str:
 
     The temporary file carries the writer's PID so concurrent workers
     retrying the same artefact never collide on the tmp name either.
-    An active fault injector may tear the write (partial bytes land at
-    the final path, non-atomically), flip payload bytes, or raise
+    An armed disk fault may tear the write (partial bytes land at the
+    final path, non-atomically), flip payload bytes, or raise
     ``ENOSPC`` before anything is written.
     """
     path = Path(path)
-    plan = faults.consult(path, "write")
+    plan = faults.consult(path)
     if plan is not None:
         HEALTH.faults_injected += 1
         if plan.kind == faults.DISK_ENOSPC:
@@ -176,25 +176,6 @@ def dump_json(obj: Any) -> bytes:
     run-to-run.
     """
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
-
-
-def read_bytes(path: PathLike) -> bytes:
-    """Read a file's bytes through the fault-injection point.
-
-    An active injector may shorten the read (a prefix is returned) or
-    raise ``EIO``; callers must treat the result as untrusted until an
-    envelope validates it.
-    """
-    path = Path(path)
-    plan = faults.consult(path, "read")
-    if plan is not None:
-        HEALTH.faults_injected += 1
-        if plan.kind == faults.DISK_EIO:
-            raise OSError(errno.EIO, f"injected EIO (disk fault) reading {path}")
-    data = path.read_bytes()
-    if plan is not None and plan.kind == faults.DISK_SHORT_READ:
-        return data[: plan.cut_length(len(data))]
-    return data
 
 
 # ----------------------------------------------------------------------

@@ -1,58 +1,47 @@
-"""Deterministic filesystem fault injection behind the fsio API.
+"""Deterministic disk-write fault injection behind the fsio API.
 
 Sibling of :mod:`repro.harness.chaos`, one layer down: where chaos
-decides whether a *task attempt* misbehaves, this decides whether a
-single *disk operation* does — a torn write, a short read, ENOSPC,
-EIO, or a payload bit flip.  Every decision is a pure function of
-``(seed, path, op, attempt)``, so a failing fuzz run is replayable
-from its seed alone and the crash-consistency tests can demand a fault
-at an exact byte offset.
+decides whether a *task attempt* misbehaves, a :class:`OneShotFault`
+makes one *disk write* misbehave — a torn write, ENOSPC, or a payload
+bit flip.  A chaos worker arms one on its own result write, with the
+details (tear offset, flipped byte) drawn from the task-level chaos
+digest, so a failing campaign replays from its seed alone; the
+crash-consistency tests arm one to tear a write at an exact byte
+offset.
 
 Nothing in this module touches the filesystem.  It only *plans*
-faults; :mod:`~repro.fsio.durable` consults the active injector at its
-read/write choke points and executes the plan.  Production code paths
-never install an injector — only ``--chaos`` workers and tests do.
+faults; :func:`~repro.fsio.durable.atomic_write_bytes` consults the
+armed faults and executes the plan.  Production code paths never arm
+one — only ``--chaos`` workers and tests do.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 PathLike = Union[str, Path]
 
 DISK_TORN = "disk-torn"
 DISK_ENOSPC = "disk-enospc"
 DISK_FLIP = "disk-flip"
-DISK_SHORT_READ = "disk-short-read"
-DISK_EIO = "disk-eio"
 
 #: Kinds selectable through ``--chaos kinds=...`` (write-side faults a
 #: campaign must survive end-to-end).
 DISK_CHAOS_KINDS: Tuple[str, ...] = (DISK_TORN, DISK_ENOSPC, DISK_FLIP)
-
-#: Every kind the injector understands; the read-side kinds are used
-#: directly by tests and the doctor harness.
-DISK_FAULT_KINDS: Tuple[str, ...] = DISK_CHAOS_KINDS + (
-    DISK_SHORT_READ,
-    DISK_EIO,
-)
-
-_WRITE_KINDS = frozenset((DISK_TORN, DISK_ENOSPC, DISK_FLIP))
-_READ_KINDS = frozenset((DISK_SHORT_READ, DISK_EIO))
 
 _DIGIT_SWAP = bytes.maketrans(b"0123456789", b"9876543210")
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A fault the injector decided to fire, plus how to execute it.
+    """A fault to fire, plus how to execute it.
 
     ``digest`` seeds the data-dependent details (where to tear, which
-    byte to flip); ``cut`` pins the torn/short boundary to an exact
-    offset for the kill-at-every-offset harness.
+    byte to flip); ``cut`` pins the torn boundary to an exact offset
+    for the kill-at-every-offset harness.
     """
 
     kind: str
@@ -60,7 +49,7 @@ class FaultPlan:
     cut: Optional[int] = None
 
     def cut_length(self, total: int) -> int:
-        """Bytes that survive a torn write / short read of ``total``."""
+        """Bytes that survive a torn write of ``total``."""
         if self.cut is not None:
             return max(0, min(total, self.cut))
         if total < 2:
@@ -102,76 +91,8 @@ class FaultPlan:
         return bytes(mutated)
 
 
-def _eligible(kinds: Tuple[str, ...], op: str) -> Tuple[str, ...]:
-    allowed = _WRITE_KINDS if op == "write" else _READ_KINDS
-    return tuple(k for k in kinds if k in allowed)
-
-
-@dataclass(frozen=True)
-class DiskFaultConfig:
-    """Probabilistic fault schedule: pure in ``(seed, path, op, attempt)``.
-
-    The draw keys on the file's *basename*, not its absolute path, so a
-    schedule replays identically across scratch directories.
-    """
-
-    seed: int
-    p: float
-    kinds: Tuple[str, ...] = DISK_CHAOS_KINDS
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"fault probability must be in [0, 1], got {self.p}")
-        unknown = [k for k in self.kinds if k not in DISK_FAULT_KINDS]
-        if unknown:
-            raise ValueError(
-                f"unknown disk fault kinds {unknown}; "
-                f"known: {', '.join(DISK_FAULT_KINDS)}"
-            )
-
-    def decide(
-        self, path: PathLike, op: str, attempt: int
-    ) -> Optional[FaultPlan]:
-        eligible = _eligible(self.kinds, op)
-        if not eligible or self.p <= 0.0:
-            return None
-        key = f"repro-disk:{self.seed}:{Path(path).name}:{op}:{attempt}"
-        digest = hashlib.sha256(key.encode()).digest()
-        draw = int.from_bytes(digest[:8], "big") / 2**64
-        if draw >= self.p:
-            return None
-        kind = eligible[int.from_bytes(digest[8:12], "big") % len(eligible)]
-        return FaultPlan(kind, digest)
-
-
-class FaultInjector:
-    """Installable injector driven by a :class:`DiskFaultConfig`.
-
-    Tracks a per-``(basename, op)`` attempt counter so a retried write
-    draws a fresh decision each time — the same convergence property
-    task-level chaos has: with p < 1 every artefact eventually lands.
-    """
-
-    def __init__(self, config: DiskFaultConfig):
-        self.config = config
-        self._attempts: Dict[Tuple[str, str], int] = {}
-
-    def plan(self, path: PathLike, op: str) -> Optional[FaultPlan]:
-        key = (Path(path).name, op)
-        attempt = self._attempts.get(key, 0)
-        self._attempts[key] = attempt + 1
-        return self.config.decide(path, op, attempt)
-
-    def __enter__(self) -> "FaultInjector":
-        _install(self)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        _uninstall(self)
-
-
 class OneShotFault:
-    """Fire ``kind`` exactly once, on the first matching operation.
+    """Fire ``kind`` exactly once, on the first write to a matching file.
 
     This is how chaos workers arm a disk fault for one specific result
     write, and how the crash-consistency harness tears a write at an
@@ -183,15 +104,13 @@ class OneShotFault:
         self,
         kind: str,
         path: PathLike,
-        op: Optional[str] = None,
         digest: Optional[bytes] = None,
         cut: Optional[int] = None,
     ):
-        if kind not in DISK_FAULT_KINDS:
+        if kind not in DISK_CHAOS_KINDS:
             raise ValueError(f"unknown disk fault kind {kind!r}")
         self.kind = kind
         self._name = Path(path).name
-        self._op = op or ("write" if kind in _WRITE_KINDS else "read")
         if digest is None:
             digest = hashlib.sha256(
                 f"repro-oneshot:{kind}:{self._name}".encode()
@@ -200,56 +119,29 @@ class OneShotFault:
         self._cut = cut
         self.fired = False
 
-    def plan(self, path: PathLike, op: str) -> Optional[FaultPlan]:
-        if self.fired or op != self._op or Path(path).name != self._name:
+    def plan(self, path: PathLike) -> Optional[FaultPlan]:
+        if self.fired or Path(path).name != self._name:
             return None
         self.fired = True
         return FaultPlan(self.kind, self._digest, cut=self._cut)
 
     def __enter__(self) -> "OneShotFault":
-        _install(self)
+        _ACTIVE.append(self)
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        _uninstall(self)
+        if self in _ACTIVE:
+            _ACTIVE.remove(self)
 
 
-# ----------------------------------------------------------------------
-# installation (per-process; workers are processes, so no locking)
-
-_ACTIVE: List[object] = []
-_FIRED: List[Dict[str, str]] = []
+# Armed faults (per-process; workers are processes, so no locking).
+_ACTIVE: List[OneShotFault] = []
 
 
-def _install(injector: object) -> None:
-    _ACTIVE.append(injector)
-
-
-def _uninstall(injector: object) -> None:
-    if injector in _ACTIVE:
-        _ACTIVE.remove(injector)
-
-
-def active_injector() -> Optional[object]:
-    """The innermost installed injector, or ``None``."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-def consult(path: PathLike, op: str) -> Optional[FaultPlan]:
-    """Ask the installed injectors (innermost first) for a fault plan."""
-    for injector in reversed(_ACTIVE):
-        plan = injector.plan(path, op)  # type: ignore[attr-defined]
+def consult(path: PathLike) -> Optional[FaultPlan]:
+    """Ask the armed faults (innermost first) for a plan for this write."""
+    for fault in reversed(_ACTIVE):
+        plan = fault.plan(path)
         if plan is not None:
-            _FIRED.append(
-                {"path": str(path), "op": op, "kind": plan.kind}
-            )
             return plan
     return None
-
-
-def injected_faults(clear: bool = False) -> List[Dict[str, str]]:
-    """Faults fired in this process (newest last); optionally reset."""
-    fired = list(_FIRED)
-    if clear:
-        _FIRED.clear()
-    return fired

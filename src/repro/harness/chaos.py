@@ -101,13 +101,15 @@ class ChaosConfig:
         )
 
 
-def parse_chaos_spec(spec: str, seed: int = 0) -> ChaosConfig:
+def parse_chaos_spec(spec: str) -> ChaosConfig:
     """Parse ``p=0.3,kinds=crash,timeout,corrupt[,seed=7]``.
 
-    ``kinds`` is comma-separated like the top-level fields, so any bare
-    token (no ``=``) extends the most recent list-valued key.
+    ``seed`` defaults to 0.  ``kinds`` is comma-separated like the
+    top-level fields, so any bare token (no ``=``) extends the most
+    recent list-valued key.
     """
     p = 0.1
+    seed = 0
     kinds: Optional[list] = None
     collecting_kinds = False
     for token in filter(None, (t.strip() for t in spec.split(","))):

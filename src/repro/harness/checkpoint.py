@@ -32,7 +32,6 @@ from ..fsio.durable import (
     atomic_write_bytes,
     dump_json,
     file_sha256_cached,
-    read_bytes,
     unwrap_json,
     wrap_json,
 )
@@ -77,15 +76,15 @@ def write_json_atomic(
 def load_result(path: PathLike) -> Dict[str, Any]:
     """Load a task result file, raising ``CorruptResultError`` if bad.
 
-    Reads through the fault-injectable fsio path, then validates the
-    envelope when present: a record whose payload no longer matches
-    its recorded checksum is corrupt even though it parses cleanly.
+    Reads the bytes, then validates the envelope when present: a
+    record whose payload no longer matches its recorded checksum is
+    corrupt even though it parses cleanly.
     """
     path = Path(path)
     if not path.exists():
         raise CorruptResultError(path, "missing")
     try:
-        raw = read_bytes(path)
+        raw = path.read_bytes()
     except OSError as exc:
         raise CorruptResultError(path, f"unreadable ({exc})") from None
     try:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..fsio.durable import BlobError, read_bytes, unwrap_json
+from ..fsio.durable import BlobError, unwrap_json
 from ..fsio.quarantine import quarantine_file
 from ..manifest import library_info
 from .chaos import ChaosConfig
@@ -94,10 +94,8 @@ class CampaignManifest:
     scale: str
     experiments: Tuple[str, ...]
     chaos: Optional[dict] = None       # last run's chaos settings (info only)
-    #: Workload references the campaign was created over (normalized
-    #: ``family:target`` refs replacing the scale preset's mixes).
-    #: ``None`` means the scale's default mixes — the pre-registry
-    #: behaviour.
+    #: Workload references the campaign was created over, replacing
+    #: the scale preset's mixes.  ``None`` means the preset's mixes.
     workloads: Optional[Tuple[str, ...]] = None
     tasks: Dict[str, TaskEntry] = field(default_factory=dict)
 
@@ -162,7 +160,7 @@ class CampaignManifest:
                 f"{directory} is not a campaign directory (no {MANIFEST_NAME})"
             )
         try:
-            data = unwrap_json(json.loads(read_bytes(path).decode()), path=path)
+            data = unwrap_json(json.loads(path.read_bytes().decode()), path=path)
         except (OSError, ValueError, BlobError) as exc:
             # ValueError covers JSONDecodeError/UnicodeDecodeError and
             # BlobError subclasses it, but keep both spelled out: this

@@ -39,9 +39,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from ..experiments.campaign_tasks import CampaignTask, enumerate_campaign_tasks
-from ..experiments.common import get_scale
-from ..workloads.registry import normalize_workload_ref
+from ..experiments.campaign_tasks import (
+    EXPERIMENT_NAMES,
+    CampaignTask,
+    enumerate_campaign_tasks,
+)
+from ..experiments.common import SCALE_NAMES, get_scale
+from ..workloads.mixes import WORKLOADS
 from ..fsio.quarantine import quarantine_file
 from ..metrics.registry import register_metric
 from .chaos import ChaosConfig, backoff_delay
@@ -168,6 +172,22 @@ class _PoolWorker:
     deadline: Optional[float] = None   # armed while a task is in flight
 
 
+def _check_names(
+    scale: str, experiments: Sequence[str], workloads: Optional[Sequence[str]]
+) -> None:
+    """Raise :class:`CampaignConfigError` for any unknown name."""
+    for kind, names, known in (
+        ("scale", (scale,), SCALE_NAMES),
+        ("experiment", experiments, EXPERIMENT_NAMES),
+        ("workload", workloads or (), tuple(WORKLOADS)),
+    ):
+        for name in names:
+            if name not in known:
+                raise CampaignConfigError(
+                    f"unknown {kind} {name!r}; choose from {', '.join(known)}"
+                )
+
+
 class CampaignRunner:
     """Execute (or resume) one campaign directory to completion."""
 
@@ -215,14 +235,11 @@ class CampaignRunner:
                 )
             self.scale_name = scale
             self.experiments = tuple(experiments)
-            # Validated + normalized eagerly (synthetic refs canonical-
-            # ize to bare mix names) so unit ids and the manifest agree
-            # on one spelling per target.
-            self.workloads = (
-                tuple(normalize_workload_ref(ref) for ref in workloads)
-                if workloads
-                else None
-            )
+            self.workloads = tuple(workloads) if workloads else None
+        # Names are checked before a new campaign writes anything, so a
+        # typo leaves no directory behind.
+        _check_names(self.scale_name, self.experiments, self.workloads)
+        if not resume:
             self.manifest = CampaignManifest.create(
                 self.directory,
                 scale=self.scale_name,
@@ -230,8 +247,6 @@ class CampaignRunner:
                 chaos=self.settings.chaos,
                 workloads=self.workloads,
             )
-        # Scale names are validated eagerly so a typo fails fast.
-        get_scale(self.scale_name)
 
     # ------------------------------------------------------------------
     # shared helpers
@@ -373,8 +388,8 @@ class CampaignRunner:
         scale = get_scale(self.scale_name)
         if self.workloads:
             # An explicit workload list replaces the preset's mixes for
-            # unit enumeration; workers resolve each ref through the
-            # registry transparently (``scale.workload(ref)``).
+            # unit enumeration; workers build each reference with
+            # ``scale.workload(ref)``.
             scale = replace(scale, mixes=tuple(self.workloads))
         tasks = enumerate_campaign_tasks(self.experiments, scale)
         self._clean_stale_tmp()

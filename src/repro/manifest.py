@@ -59,15 +59,12 @@ def describe_workload(workload: "Workload") -> Dict[str, Any]:
     """Apps, seeds, trace dimensions and producing family of a workload."""
     info: Dict[str, Any] = {
         "seed": workload.seed,
-        # pre-registry Workloads (pickled snapshots, direct constructions)
-        # may predate the family attribute
-        "family": getattr(workload, "family", "synthetic"),
+        "family": workload.family,
         "apps": [p.name for p in workload.profiles],
         "trace_records_per_core": len(workload.traces[0]),
         "footprints_blocks": [p.footprint_blocks for p in workload.profiles],
         "n_phases": [p.n_phases for p in workload.profiles],
     }
-    target = getattr(workload, "target", None)
-    if target is not None:
-        info["target"] = target
+    if workload.target is not None:
+        info["target"] = workload.target
     return info

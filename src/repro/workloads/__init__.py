@@ -1,51 +1,26 @@
-"""Workloads: a registry of workload families and their targets.
+"""Workloads: the table of named workloads and the synthetic model.
 
-The registry (:mod:`repro.workloads.registry`) is the front door:
-families are looked up by name, targets by ``family:target``
-references, and :func:`build_workload` turns a reference into a
-ready-to-simulate :class:`~repro.engine.Workload`.  Registered
-families: ``synthetic`` (the paper's Table V mixes) and
-``datacenter`` (key-value/scan service mixes,
-:mod:`repro.workloads.families`).  The synthetic family's profile
-library, mixes and profile builders live in their own submodules
-(:mod:`.profiles`, :mod:`.mixes`, :mod:`.synthetic`).
+:data:`~repro.workloads.mixes.WORKLOADS` maps each reference — the ten
+Table V mixes (``mix1`` … ``mix10``) and the ``datacenter:`` service
+mixes (:mod:`.families`) — to a description and its per-core profiles;
+:meth:`repro.experiments.common.ExperimentScale.workload` builds one.
+The profile library, the trace generator and the data model live in
+their own submodules (:mod:`.profiles`, :mod:`.generator`,
+:mod:`.data`).
 """
 
 from .data import DataModel
 from .generator import AppTraceGenerator
-from .registry import (
-    DEFAULT_FAMILY,
-    TargetSpec,
-    WorkloadFamily,
-    WorkloadRefError,
-    build_workload,
-    family_names,
-    get_family,
-    normalize_workload_ref,
-    parse_workload_ref,
-    register_family,
-    resolve_workload_ref,
-    workload_refs,
-)
+from .mixes import WORKLOADS, WorkloadRefError
 from .trace import CORE_ADDR_SHIFT, MaterializedTrace, TraceRecord, materialize
 
 __all__ = [
     "AppTraceGenerator",
     "CORE_ADDR_SHIFT",
-    "DEFAULT_FAMILY",
     "DataModel",
     "MaterializedTrace",
-    "TargetSpec",
     "TraceRecord",
-    "WorkloadFamily",
+    "WORKLOADS",
     "WorkloadRefError",
-    "build_workload",
-    "family_names",
-    "get_family",
     "materialize",
-    "normalize_workload_ref",
-    "parse_workload_ref",
-    "register_family",
-    "resolve_workload_ref",
-    "workload_refs",
 ]

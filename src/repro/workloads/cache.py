@@ -6,7 +6,8 @@ the same trace would otherwise be rebuilt from scratch by every
 simulation, sweep point and campaign task that asks for it.  The
 in-process :class:`WorkloadCache` removes that waste without ever
 changing a byte of what the engine replays: it is a small LRU keyed by
-the exact :class:`~repro.workloads.profiles.AppProfile` tuples (frozen
+the workload reference, the exact
+:class:`~repro.workloads.profiles.AppProfile` tuples (frozen
 dataclasses, so the key *is* the generator input), seed and record
 count.  :meth:`repro.experiments.common.ExperimentScale.workload`
 routes through the shared instance, so a sweep that runs seven
@@ -44,10 +45,11 @@ W = TypeVar("W")
 class WorkloadCache:
     """Small in-process LRU of built workloads.
 
-    Keys are ``(token, profiles, seed, trace_records_per_core)`` —
+    Keys are ``(ref, profiles, seed, trace_records_per_core)`` —
     profiles are frozen dataclasses, so equal keys mean byte-identical
-    traces, and ``token`` (the workload family name) keeps families
-    from sharing entries even when their profiles collide.  Sharing a
+    traces, and ``ref`` (the workload reference) keeps two references
+    whose profiles collide from sharing one entry and so one
+    provenance stamp.  Sharing a
     built workload across runs is safe because simulations never
     mutate it: the only state that grows is the data model's size
     memo, whose entries are a pure function of (address, seed) and are
@@ -68,14 +70,14 @@ class WorkloadCache:
 
     def get(
         self,
+        ref: str,
         profiles: Sequence[AppProfile],
         seed: int,
         trace_records_per_core: int,
         builder: Callable[[], W],
-        token: str = "synthetic",
     ) -> W:
         """Return the cached workload for the key, building on miss."""
-        key: WorkloadKey = (token, tuple(profiles), seed, trace_records_per_core)
+        key: WorkloadKey = (ref, tuple(profiles), seed, trace_records_per_core)
         entry = self._entries.get(key)
         if entry is not None:
             self.hits += 1

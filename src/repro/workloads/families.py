@@ -1,7 +1,7 @@
-"""The ``datacenter`` scenario family: key-value/scan service mixes.
+"""The ``datacenter:`` workloads: key-value/scan service mixes.
 
-The Table V mixes are the paper's evaluation; this family adds the
-workload shapes the paper's mixes were never calibrated to exercise —
+The Table V mixes are the paper's evaluation; these add the workload
+shapes the paper's mixes were never calibrated to exercise —
 point-lookup storms over large pools, write-heavy ingest with
 compressible log streams, and columnar scan analytics.  These are the
 shapes the competitor policies (MAC, Mittal's SRAM-NVM management) are
@@ -11,20 +11,16 @@ repo benchmark.
 All targets are 4-core (the Table IV system), expressed at paper
 scale, and respond to :meth:`AppProfile.scaled` like the SPEC
 profiles, so every campaign scale preset applies unchanged.
+:data:`DATACENTER` joins the workload table
+(:data:`repro.workloads.mixes.WORKLOADS`) as ``datacenter:<target>``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .profiles import AppProfile, make_comp_weights
-from .registry import WorkloadFamily, register_family
 from .synthetic import _base
-
-#: (description, per-core profile builders) per target, evaluated
-#: lazily so import stays cheap.
-_TargetTable = Dict[str, Tuple[str, Callable[[], List[AppProfile]]]]
-
 
 #: Small-value KV payloads: short strings and counters compress well,
 #: but serialisation headers keep a fat low-ratio tail.
@@ -87,40 +83,22 @@ def _scan_core(i: int) -> AppProfile:
     )
 
 
-class DatacenterFamily(WorkloadFamily):
-    name = "datacenter"
-    description = (
-        "key-value/scan service mixes: lookup storms, write-heavy "
-        "ingest, columnar analytics"
-    )
-    _TARGETS: _TargetTable = {
-        "kv_read": (
-            "4x point-lookup storm over large KV pools",
-            lambda: [_kv_read_core(i) for i in range(4)],
-        ),
-        "kv_write": (
-            "4x write-heavy ingest with compressible log streams",
-            lambda: [_kv_write_core(i) for i in range(4)],
-        ),
-        "scan_analytics": (
-            "4x columnar scan analytics over encoded pages",
-            lambda: [_scan_core(i) for i in range(4)],
-        ),
-        "kv_scan_mix": (
-            "2 KV lookup cores co-scheduled with 2 scan cores",
-            lambda: [_kv_read_core(0), _kv_read_core(1),
-                     _scan_core(0), _scan_core(1)],
-        ),
-    }
-
-    def targets(self) -> Tuple[str, ...]:
-        return tuple(self._TARGETS)
-
-    def _profiles(self, target: str) -> List[AppProfile]:
-        return self._TARGETS[target][1]()
-
-    def _target_description(self, target: str) -> str:
-        return self._TARGETS[target][0]
-
-
-register_family(DatacenterFamily())
+#: Target -> (description, per-core profiles at paper scale).
+DATACENTER: Dict[str, Tuple[str, Tuple[AppProfile, ...]]] = {
+    "kv_read": (
+        "4x point-lookup storm over large KV pools",
+        tuple(_kv_read_core(i) for i in range(4)),
+    ),
+    "kv_write": (
+        "4x write-heavy ingest with compressible log streams",
+        tuple(_kv_write_core(i) for i in range(4)),
+    ),
+    "scan_analytics": (
+        "4x columnar scan analytics over encoded pages",
+        tuple(_scan_core(i) for i in range(4)),
+    ),
+    "kv_scan_mix": (
+        "2 KV lookup cores co-scheduled with 2 scan cores",
+        (_kv_read_core(0), _kv_read_core(1), _scan_core(0), _scan_core(1)),
+    ),
+}

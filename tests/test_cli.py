@@ -35,17 +35,13 @@ def test_list_command(capsys):
 
 def test_workloads_command(capsys):
     assert main(["workloads"]) == 0
-    refs = re.findall(r"^(\w+:\w+) ", capsys.readouterr().out, re.MULTILINE)
-    assert refs == [f"synthetic:mix{i}" for i in range(1, 11)] + [
+    refs = re.findall(r"^([\w:]+) +4 ", capsys.readouterr().out, re.MULTILINE)
+    assert refs == [f"mix{i}" for i in range(1, 11)] + [
         "datacenter:kv_read",
         "datacenter:kv_write",
         "datacenter:scan_analytics",
         "datacenter:kv_scan_mix",
     ]
-
-    assert main(["workloads", "--family", "phase"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown family 'phase' (choose from: datacenter, synthetic)" in err
 
 
 def test_simulate_command(capsys):
@@ -84,6 +80,12 @@ def test_unknown_mix_suggests(capsys):
     err = capsys.readouterr().err
     assert "unknown workload 'mix99'" in err
     assert "did you mean 'mix9'" in err
+
+
+def test_synthetic_prefix_is_not_an_alias(capsys):
+    rc = main(["--scale", "smoke", "simulate", "--mix", "synthetic:mix1"])
+    assert rc == 2
+    assert "did you mean 'mix1'" in capsys.readouterr().err
 
 
 def test_unknown_policy_suggests(capsys):

@@ -2,10 +2,10 @@
 
 Covers the three fsio pillars in isolation (the campaign/cache tests
 exercise them end-to-end): the checksummed ``repro-blob/1`` envelope
-detects every defect class with a stable taxonomy token; the
-deterministic fault injector is a pure function of its inputs; and
-corrupt artefacts move to ``quarantine/`` with structured reason
-records instead of being deleted or re-served.  The stat-keyed file
+detects every defect class with a stable taxonomy token; each one-shot
+disk-write fault fires once and does what its kind says; and corrupt
+artefacts move to ``quarantine/`` with structured reason records
+instead of being deleted or re-served.  The stat-keyed file
 hash memo that checkpoint verification reads is covered here too.
 """
 
@@ -14,18 +14,12 @@ import json
 import pytest
 
 from repro.fsio import (
-    DISK_CHAOS_KINDS,
-    DISK_FAULT_KINDS,
     HEALTH,
     BlobError,
-    DiskFaultConfig,
-    FaultInjector,
     OneShotFault,
     atomic_write_bytes,
-    injected_faults,
     is_blob_payload,
     quarantine_file,
-    read_bytes,
     unwrap_json,
     wrap_json,
 )
@@ -35,7 +29,6 @@ from repro.fsio.quarantine import load_reason
 @pytest.fixture(autouse=True)
 def _reset_health():
     HEALTH.reset()
-    injected_faults(clear=True)
     yield
     HEALTH.reset()
 
@@ -185,32 +178,6 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["artefact.json"]
 
 
-def test_fault_decisions_are_deterministic_and_op_scoped():
-    config = DiskFaultConfig(seed=7, p=0.5)
-    plans = [config.decide("a/b/result.json", "write", n) for n in range(50)]
-    again = [config.decide("other/dir/result.json", "write", n) for n in range(50)]
-    # pure in (seed, basename, op, attempt): directory is irrelevant
-    assert [p.kind if p else None for p in plans] == [
-        p.kind if p else None for p in again
-    ]
-    assert any(p is not None for p in plans)
-    assert any(p is None for p in plans)
-    # write-kind config never fires on reads
-    assert all(
-        config.decide("result.json", "read", n) is None for n in range(50)
-    )
-    for plan in filter(None, plans):
-        assert plan.kind in DISK_CHAOS_KINDS
-
-
-def test_fault_config_rejects_bad_values():
-    with pytest.raises(ValueError):
-        DiskFaultConfig(seed=0, p=1.5)
-    with pytest.raises(ValueError):
-        DiskFaultConfig(seed=0, p=0.5, kinds=("disk-explode",))
-    assert set(DISK_CHAOS_KINDS) < set(DISK_FAULT_KINDS)
-
-
 def test_injected_torn_write_is_caught_by_envelope(tmp_path):
     path = tmp_path / "result.json"
     from repro.fsio.durable import dump_json
@@ -225,7 +192,7 @@ def test_injected_torn_write_is_caught_by_envelope(tmp_path):
     # a torn envelope can never unwrap cleanly
     with pytest.raises((BlobError, ValueError)):
         unwrap_json(json.loads(torn.decode()), path=path)
-    # the retry (injector gone) lands the full artefact
+    # the retry (the one-shot fault has fired) lands the full artefact
     atomic_write_bytes(path, data)
     assert unwrap_json(json.loads(path.read_text())) == {"value": 42}
 
@@ -246,43 +213,14 @@ def test_injected_flip_keeps_json_valid_but_fails_checksum(tmp_path):
 
 def test_injected_enospc_and_read_faults(tmp_path):
     path = tmp_path / "artefact.bin"
-    with OneShotFault("disk-enospc", path):
+    with OneShotFault("disk-enospc", path) as fault:
         with pytest.raises(OSError):
             atomic_write_bytes(path, b"doomed")
+    assert fault.fired and HEALTH.faults_injected == 1
     assert not path.exists(), "ENOSPC must not leave partial bytes"
-
+    # one shot: the next write lands
     atomic_write_bytes(path, b"0123456789")
-    with OneShotFault("disk-eio", path):
-        with pytest.raises(OSError):
-            read_bytes(path)
-    with OneShotFault("disk-short-read", path, cut=4):
-        assert read_bytes(path) == b"0123"
-    assert read_bytes(path) == b"0123456789"
-
-    log = injected_faults()
-    assert [f["kind"] for f in log] == [
-        "disk-enospc", "disk-eio", "disk-short-read"
-    ]
-
-
-def test_fault_injector_retries_draw_fresh_decisions(tmp_path):
-    """A FaultInjector advances its per-file attempt counter, so with
-    p < 1 a retried write eventually lands (the convergence property
-    the campaign relies on)."""
-    # seed 0 fires ENOSPC on attempts 0-2 and clears on attempt 3
-    config = DiskFaultConfig(seed=0, p=0.7, kinds=("disk-enospc",))
-    path = tmp_path / "retried.json"
-    with FaultInjector(config):
-        for attempt in range(40):
-            try:
-                atomic_write_bytes(path, b"payload")
-                break
-            except OSError:
-                continue
-        else:
-            pytest.fail("40 retries at p=0.7 should include a clean draw")
-    assert path.read_bytes() == b"payload"
-    assert HEALTH.faults_injected > 0
+    assert path.read_bytes() == b"0123456789"
 
 
 # ----------------------------------------------------------------------

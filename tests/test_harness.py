@@ -217,6 +217,26 @@ def test_manifest_rejects_foreign_directory(tmp_path):
         CampaignManifest.load(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"scale": "smkoe"},
+        {"experiments": ("nosuch",)},
+        {"workloads": ("mix99",)},
+    ],
+    ids=["scale", "experiment", "workload"],
+)
+def test_campaign_runner_rejects_unknown_names_before_writing(tmp_path, kwargs):
+    from repro.harness import CampaignConfigError
+    from repro.harness.scheduler import CampaignRunner
+
+    directory = tmp_path / "c"
+    settings = {"scale": "smoke", "experiments": ("tables",), **kwargs}
+    with pytest.raises(CampaignConfigError, match="unknown"):
+        CampaignRunner(directory, **settings)
+    assert not directory.exists()
+
+
 # ----------------------------------------------------------------------
 # task enumeration
 

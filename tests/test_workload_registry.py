@@ -1,113 +1,93 @@
-"""Workload family registry: refs, specs, new families.
+"""The table of named workloads: references, entries, builds, stamps.
 
-The registry's contract has two halves.  Backwards: the ``synthetic``
-family must be indistinguishable from the pre-registry code — bare mix
-names resolve and builds are byte-identical (the golden-digest gate).
-Forwards: every family is enumerable with a :class:`TargetSpec`,
-buildable at any scale, campaign-enumerable, and unknown references
-fail loudly with the valid choices attached.
+``WORKLOADS`` names every workload: the Table V mixes by their bare
+names and the datacenter mixes as ``datacenter:<target>``.
+``ExperimentScale.workload`` is its one builder.  Every entry must
+describe itself, build at any scale, run to a schema-valid RunRecord
+stamped with the ``family``/``target`` its reference spells, and
+enumerate as campaign units; unknown references fail loudly with the
+valid ones attached.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.experiments.common import SMOKE
-from repro.workloads.registry import (
-    DEFAULT_FAMILY,
-    WorkloadFamily,
+from repro.core import make_policy
+from repro.experiments.common import SMOKE, run_one
+from repro.metrics import RunRecord
+from repro.workloads.families import DATACENTER
+from repro.workloads.mixes import (
+    MIX_NAMES,
+    WORKLOADS,
     WorkloadRefError,
-    build_workload,
-    family_names,
-    get_family,
-    normalize_workload_ref,
-    parse_workload_ref,
-    register_family,
-    resolve_workload_ref,
-    workload_refs,
+    workload_provenance,
 )
 
 TINY = replace(SMOKE, trace_records_per_core=3_000)
 
 
 # ----------------------------------------------------------------------
-# reference parsing and resolution
+# references
 
 def test_bare_name_is_synthetic():
-    assert parse_workload_ref("mix1") == (DEFAULT_FAMILY, "mix1")
+    assert workload_provenance("mix1") == ("synthetic", "mix1")
 
 
 def test_qualified_ref_parses():
-    assert parse_workload_ref("datacenter:kv_read") == ("datacenter", "kv_read")
+    assert workload_provenance("datacenter:kv_read") == ("datacenter", "kv_read")
 
 
 @pytest.mark.parametrize("bad", ["", ":", "family:", ":target"])
 def test_malformed_refs_rejected(bad):
     with pytest.raises(WorkloadRefError):
-        parse_workload_ref(bad)
+        TINY.workload(bad)
 
 
 def test_unknown_family_carries_choices():
     with pytest.raises(WorkloadRefError) as err:
-        resolve_workload_ref("nosuch:thing")
-    assert err.value.choices == family_names()
+        TINY.workload("nosuch:thing")
+    assert err.value.choices == tuple(WORKLOADS)
 
 
 def test_unknown_target_carries_qualified_choices():
     with pytest.raises(WorkloadRefError) as err:
-        resolve_workload_ref("synthetic:mix99")
-    assert "synthetic:mix1" in err.value.choices
+        TINY.workload("datacenter:kv_raed")
+    assert "datacenter:kv_read" in err.value.choices
 
 
 def test_ref_error_is_keyerror():
-    # pre-registry callers caught KeyError from mix_profiles; the
-    # registry's error must stay catchable the same way
+    # an unknown reference is a missing table key
     with pytest.raises(KeyError):
-        build_workload("mix99", scale=TINY)
-
-
-def test_normalize_prefers_bare_synthetic():
-    assert normalize_workload_ref("synthetic:mix1") == "mix1"
-    assert normalize_workload_ref("mix1") == "mix1"
-    assert normalize_workload_ref("datacenter:kv_read") == "datacenter:kv_read"
+        TINY.workload("mix99")
 
 
 def test_family_names_default_first():
-    assert family_names() == ("synthetic", "datacenter")
+    # the paper's Table V mixes lead the table, the datacenter mixes follow
+    refs = tuple(WORKLOADS)
+    assert refs[: len(MIX_NAMES)] == MIX_NAMES
+    assert all(ref.startswith("datacenter:") for ref in refs[len(MIX_NAMES):])
 
 
 def test_workload_refs_cover_every_family_target():
-    refs = workload_refs()
-    for name in family_names():
-        for target in get_family(name).targets():
-            assert f"{name}:{target}" in refs
-
-
-def test_register_rejects_duplicates():
-    with pytest.raises(ValueError, match="already registered"):
-        register_family(get_family(DEFAULT_FAMILY))
-
-
-def test_register_rejects_nameless():
-    with pytest.raises(ValueError, match="no name"):
-        register_family(WorkloadFamily())
+    assert set(WORKLOADS) == set(MIX_NAMES) | {
+        f"datacenter:{target}" for target in DATACENTER
+    }
 
 
 # ----------------------------------------------------------------------
-# target specs
+# table entries
 
 def test_every_builtin_target_has_a_spec():
-    for name in family_names():
-        family = get_family(name)
-        for target in family.targets():
-            spec = family.target_spec(target)
-            assert spec.ref == f"{name}:{target}"
-            assert spec.cores >= 1
-            assert spec.footprint_blocks > 0
+    for ref, (description, profiles) in WORKLOADS.items():
+        assert description, ref
+        assert len(profiles) >= 1
+        assert all(p.footprint_blocks > 0 for p in profiles)
+        for p in profiles:
             fractions = (
-                spec.hcr_fraction,
-                spec.lcr_fraction,
-                spec.incompressible_fraction,
+                p.hcr_fraction,
+                p.lcr_fraction,
+                p.incompressible_fraction,
             )
             assert all(0.0 <= f <= 1.0 for f in fractions)
             assert sum(fractions) == pytest.approx(1.0, abs=1e-6)
@@ -116,14 +96,8 @@ def test_every_builtin_target_has_a_spec():
 # ----------------------------------------------------------------------
 # building
 
-def test_synthetic_build_matches_scale_workload():
-    via_registry = build_workload("mix1", scale=TINY, seed=0)
-    direct = TINY.workload("mix1", seed=0)
-    assert via_registry is direct  # same shared-cache entry
-
-
 def test_builds_stamp_family_and_target():
-    workload = build_workload("datacenter:scan_analytics", scale=TINY, seed=0)
+    workload = TINY.workload("datacenter:scan_analytics", seed=0)
     assert workload.family == "datacenter"
     assert workload.target == "scan_analytics"
     assert len(workload.traces) == 4
@@ -139,16 +113,24 @@ def test_builds_stamp_family_and_target():
     ],
 )
 def test_new_family_targets_build_and_replay(ref):
-    workload = build_workload(ref, scale=TINY, seed=0)
-    spec = resolve_workload_ref(ref)[0].target_spec(ref.split(":")[1])
-    assert len(workload.traces) == spec.cores
+    workload = TINY.workload(ref, seed=0)
+    assert len(workload.traces) == len(WORKLOADS[ref][1])
     for trace in workload.traces:
         assert len(trace) == TINY.trace_records_per_core
 
 
+@pytest.mark.parametrize("ref", tuple(WORKLOADS))
+def test_every_workload_runs_to_a_stamped_record(ref):
+    workload = TINY.workload(ref)
+    record = run_one(TINY.system(), make_policy("bh"), workload, 0.25, 1)
+    record.validate()
+    meta = RunRecord.from_json(record.to_json()).meta["workload"]
+    assert (meta["family"], meta["target"]) == workload_provenance(ref)
+
+
 def test_same_ref_same_seed_shares_cache_entry():
-    first = build_workload("datacenter:kv_write", scale=TINY, seed=3)
-    second = build_workload("datacenter:kv_write", scale=TINY, seed=3)
+    first = TINY.workload("datacenter:kv_write", seed=3)
+    second = TINY.workload("datacenter:kv_write", seed=3)
     assert first is second
 
 
@@ -168,5 +150,5 @@ def test_campaign_units_enumerate_over_new_families():
 def test_registry_api_reachable_from_package_root():
     import repro.workloads as pkg
 
-    assert pkg.build_workload is build_workload
+    assert pkg.WORKLOADS is WORKLOADS
     assert pkg.WorkloadRefError is WorkloadRefError
